@@ -58,22 +58,24 @@ def median(values):
     return percentile(values, 50.0)
 
 
-def window_percentiles(values, times, span, p, windows):
-    """Percentile `p` of the values whose time falls in each of `windows`
-    equal slices of `span` (start, end). Values outside the span count in
-    the nearest slice; empty slices are skipped."""
+def window_slices(values, times, span, windows):
+    """`values` grouped by which of `windows` equal slices of `span`
+    (start, end) their time falls in; outside the span, the nearest."""
     start, end = span
     width = (end - start) / windows
     slices = [[] for _ in range(windows)]
     for v, t in zip(values, times):
         k = int((t - start) / width) if width > 0 else 0
         slices[min(max(k, 0), windows - 1)].append(v)
-    return [percentile(s, p) for s in slices if s]
+    return slices
 
 
-def windowed_percentile(values, times, span, p, windows):
-    """Median over the windows of window_percentiles()."""
-    return median(window_percentiles(values, times, span, p, windows))
+def window_percentiles(values, times, span, p, windows):
+    """Percentile `p` of the values whose time falls in each of `windows`
+    equal slices of `span` (start, end). Values outside the span count in
+    the nearest slice; empty slices are skipped."""
+    return [percentile(s, p)
+            for s in window_slices(values, times, span, windows) if s]
 
 
 # ---------------------------------------------------------------------------

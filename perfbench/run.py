@@ -46,13 +46,20 @@ TOOL = os.path.join(BUILD, "perfbench_tool")
 WORKLOADS = ("paper_queries", "served_mixed", "ingest_churn")
 # Tail percentile per workload, fixed so parent and change compare the
 # same one: the highest with >= 10 samples beyond it in one window at
-# 20 s runs on a 4-core machine (bl.tail_percentile). BENCHMARK.json
+# 30 s runs on a 4-core machine (bl.tail_percentile). BENCHMARK.json
 # states it per workload; a run with fewer samples fails its checks.
 TAIL = {"paper_queries": 95.0, "served_mixed": 95.0, "ingest_churn": 95.0}
 # Each latency percentile is the median over this many equal time windows
 # of the measured phase, so one burst cannot move a run's figure.
 WINDOWS = {"paper_queries": 1, "served_mixed": 8, "ingest_churn": 4}
-SETUPS = 5            # server set-ups per run; setup_s is their median
+SETUPS = 3            # server set-ups per run; setup_s is their median
+# perfbench_tool's data seed. The datasets are the same for every
+# benchmark seed: from one generator seed to the next, their term and
+# triple counts (and so the dictionary's and the indexes' table loads)
+# moved query and insert latencies by up to 60%, more than a change under
+# test would. The benchmark seed draws the request order and the write
+# bodies instead.
+DATA_SEED = 1
 UB = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
 TAKES = "<" + UB + "takesCourse>"
 PREFIX = "PREFIX ub: <" + UB + "> "
@@ -76,6 +83,12 @@ MIXED_WINDOW = 100        # batches live before their /erase
 # erased triples have left the staging buffer) and the reader's pause.
 CHURN_BATCH = 256
 CHURN_WINDOW = 320
+CHURN_WRITERS = 1
+# The reader's COUNT scans over two churned predicates of similar size
+# (~3k live triples each, ~3 ms): a point lookup's ~0.3 ms is mostly
+# per-request overhead, which moved 30% from run to run with the host's
+# other load.
+CHURN_SCANS = ("worksFor", "doctoralDegreeFrom")
 # The churn reader waits for each reply and then pauses. A sync base
 # merge (the default compaction) stalls reads, and merges fill about half
 # of the run; an open-loop reader's queue would put half of all reads
@@ -83,7 +96,14 @@ CHURN_WINDOW = 320
 # mode from run to run. The writers' latencies carry the stalls instead.
 CHURN_READ_PAUSE_S = 0.015
 WARMUP_S = 2.0
-QUIET_S = 2.0             # paper_queries' closed-loop write probe
+# paper_queries splits its measured reads into PAPER_ROUNDS rounds, each
+# followed by one block of a closed-loop write probe: QUIET_PAIRS
+# 256-triple insert+erase pairs in all (~5 s), a fixed number so every
+# run takes the staging buffer through the same states. Reads and writes
+# thus both sample the whole run; the write metrics are the median over
+# the blocks.
+PAPER_ROUNDS = 4
+QUIET_PAIRS = 4096
 
 
 class BenchError(Exception):
@@ -148,6 +168,7 @@ def metadata(args, inputs, server_env):
         "src_sha1": digest.hexdigest(),
         "workload": args.workload,
         "seed": args.seed,
+        "data_seed": DATA_SEED,
         "seconds": args.seconds,
         "trace": args.trace,
         "load_triples": inputs["load_triples"],
@@ -317,10 +338,10 @@ class Run:
             self.reads.append((shape, ms, traced))
             self.read_t.append(time.monotonic())
 
-    def write(self, ms):
+    def write(self, ms, t=None):
         with self.lock:
             self.writes.append(ms)
-            self.write_t.append(time.monotonic())
+            self.write_t.append(time.monotonic() if t is None else t)
 
 
 class Request:
@@ -339,28 +360,30 @@ def zipf_ranks(n, s, rng, count):
     return rng.choices(range(n), weights=weights, k=count)
 
 
-def quiet_writes(conn, run, bodies, seconds):
-    """Closed loop with no readers for `seconds`: each body is inserted
-    and at once erased again, so the live size and the staging buffer do
-    not grow. Returns (insert ms, erase ms, triples inserted, triples
-    erased, elapsed seconds)."""
-    ins, era = [], []
-    inserted = erased = 0
+def quiet_writes(conn, run, bodies, seconds=None, pairs=None):
+    """Closed loop with no readers, for `seconds` or `pairs` steps: each
+    body is inserted and at once erased again, so the live size and the
+    staging buffer do not grow. Returns, for "/insert" and "/erase", the
+    latencies ("ms"), completion times ("t") and acknowledged triples
+    ("n") of each request."""
+    out = {path: {"ms": [], "t": [], "n": []}
+           for path in ("/insert", "/erase")}
     start = time.monotonic()
     i = 0
-    while time.monotonic() - start < seconds:
+    while (i < pairs if pairs is not None
+           else time.monotonic() - start < seconds):
         body = bodies[i % len(bodies)]
         i += 1
-        for path, lat in (("/insert", ins), ("/erase", era)):
+        for path, key in (("/insert", "inserted"), ("/erase", "erased")):
             t = time.monotonic()
             status, resp = conn.request("POST", path, body)
-            lat.append((time.monotonic() - t) * 1000.0)
+            e = time.monotonic()
             run.attempt(status == 200, "quiet %s status %d" % (path, status))
-            if status == 200:
-                n = json.loads(resp)
-                inserted += n.get("inserted", 0)
-                erased += n.get("erased", 0)
-    return ins, era, inserted, erased, time.monotonic() - start
+            rec = out[path]
+            rec["ms"].append((e - t) * 1000.0)
+            rec["t"].append(e)
+            rec["n"].append(json.loads(resp)[key] if status == 200 else 0)
+    return out
 
 
 def probe_bodies(courses, per_body, count, tag):
@@ -377,12 +400,13 @@ def probe_bodies(courses, per_body, count, tag):
 # ---------------------------------------------------------------------------
 # Workloads. Each returns a dict of results beyond what Run collects.
 
-def run_paper(srv, inputs, seconds, run):
+def run_paper(srv, inputs, seconds, seed, run):
     """Closed loop, one connection: the twelve paper queries as SPARQL,
-    cycled in whole passes; every body must match the one verified
-    against the hand-coded plan at set-up."""
+    cycled in whole passes (in an order drawn from the seed); every body
+    must match the one verified against the hand-coded plan at set-up."""
     conn = bl.Conn(srv.port)
-    queries = inputs["queries"]
+    queries = list(inputs["queries"])
+    random.Random(seed).shuffle(queries)
     expected = {}
     oracle_failed = []
     for qi, q in enumerate(queries):
@@ -400,16 +424,8 @@ def run_paper(srv, inputs, seconds, run):
         run.attempt(False, "oracle mismatch " + name)
     passes = []
     per_query = {q["name"]: [] for q in queries}
-    warm_end = time.monotonic() + WARMUP_S
-    end = None
-    while True:
-        now = time.monotonic()
-        if end is None and now >= warm_end:
-            end = now + seconds
-            run.t0 = now
-        if end is not None and now >= end:
-            break
-        measured = end is not None
+
+    def one_pass(measured):
         pass_start = time.monotonic()
         for qi, q in enumerate(queries):
             q_ms = 0.0
@@ -427,26 +443,52 @@ def run_paper(srv, inputs, seconds, run):
                     run.read(q["name"] + "." + str(ri), (e - t) * 1000.0,
                              traced)
                     run.span("client.query." + q["name"], t, e, traced)
+                elif not ok:
+                    run.attempt(False, "%s status %d or changed body"
+                                % (q["name"], status))
             if measured:
                 per_query[q["name"]].append(q_ms)
         if measured:
             passes.append((time.monotonic() - pass_start) * 1000.0)
-    measured_s = time.monotonic() - run.t0
-    result = {"passes": passes, "per_query": per_query,
-              "measured_s": measured_s, "oracle_failed": oracle_failed}
-    result["scrape"] = scrape(srv.port)
-    result["rss_per_triple"] = [
-        srv.rss_bytes() / result["scrape"].value("hexa_delta_size_triples")]
-    courses = inputs["courses"]
-    ins, era, inserted, erased, elapsed = quiet_writes(
-        conn, run, probe_bodies(courses, MIXED_BATCH, 64, "quiet"),
-        QUIET_S)
+
+    bodies = probe_bodies(inputs["courses"], CHURN_BATCH, 64,
+                          "quiet%d-" % seed)
+    blocks = []
+    result = {"per_query": per_query, "passes": passes,
+              "oracle_failed": oracle_failed, "write_triples": 0}
+    warm_end = time.monotonic() + WARMUP_S
+    while time.monotonic() < warm_end:
+        one_pass(False)
+    run.t0 = time.monotonic()
+    measured_s = 0.0
+    for r in range(PAPER_ROUNDS):
+        start = time.monotonic()
+        while time.monotonic() - start < seconds / PAPER_ROUNDS:
+            one_pass(True)
+        measured_s += time.monotonic() - start
+        if r == PAPER_ROUNDS - 1:
+            live = scrape(srv.port).value("hexa_delta_size_triples")
+            result["rss_per_triple"] = [srv.rss_bytes() / live]
+        probe = quiet_writes(conn, run, bodies,
+                             pairs=QUIET_PAIRS // PAPER_ROUNDS)
+        ins, era = probe["/insert"], probe["/erase"]
+        # The write metrics are the /insert half only: erases cost
+        # 0.4-0.6 ms from run to run against inserts' ~0.7 ms, and the
+        # median of the two pooled would sit on the edge between them.
+        for ms, t in zip(ins["ms"], ins["t"]):
+            run.write(ms, t)
+        blocks.append(ins)
+        result["write_triples"] += sum(ins["n"]) + sum(era["n"])
+        # The writes moved the plan cache's stamps: one unmeasured pass
+        # re-probes the plans before reads are measured again.
+        one_pass(False)
     conn.close()
-    for ms in ins + era:
-        run.write(ms)
-    result["quiet_ms"] = ins
-    result["ingest_triples_per_s"] = inserted / elapsed
-    result["write_triples"] = inserted + erased
+    result["measured_s"] = measured_s
+    result["scrape"] = scrape(srv.port)
+    result["quiet_ms"] = [ms for b in blocks for ms in b["ms"]]
+    result["write_blocks"] = [b["ms"] for b in blocks]
+    result["ingest_triples_per_s"] = bl.median(
+        [sum(b["n"]) / (sum(b["ms"]) / 1000.0) for b in blocks])
     return result
 
 
@@ -594,29 +636,40 @@ def run_served(srv, inputs, seconds, seed, run):
     acked = writer_stats["inserted"]
     result["ingest_triples_per_s"] = acked / (WARMUP_S + seconds)
     conn = bl.Conn(srv.port)
-    ins, _, inserted, erased, _ = quiet_writes(
+    probe = quiet_writes(
         conn, run, probe_bodies(courses, MIXED_BATCH, 64, "quiet"), 1.0)
     conn.close()
-    result["quiet_ms"] = ins
+    result["quiet_ms"] = probe["/insert"]["ms"]
     result["write_triples"] = (writer_stats["inserted"]
                                + writer_stats["erased"])
     return result
 
 
 def run_churn(srv, inputs, seconds, seed, run, workdir, wal_dir):
-    """Closed loop: two writer connections insert 256-triple pool batches
-    and erase the batch CHURN_WINDOW steps older; one reader connection
-    sends selective queries on the churned entities, pausing
-    CHURN_READ_PAUSE_S after each reply. Then the acknowledged count is
-    checked, the server stopped with SIGTERM and restarted on its WAL dir
-    alone (recover_s)."""
-    rng = random.Random(seed)
+    """Closed loop: CHURN_WRITERS writer connections insert 256-triple
+    pool batches (in an order drawn from the seed) and erase the batch
+    CHURN_WINDOW steps older; one reader connection alternates COUNT
+    scans of the CHURN_SCANS predicates, pausing CHURN_READ_PAUSE_S after
+    each reply. Then the acknowledged count is checked, the server
+    stopped with SIGTERM and restarted on its WAL dir alone
+    (recover_s)."""
     with open(os.path.join(workdir, "pool.nt")) as f:
         lines = f.readlines()
     pool = ["".join(lines[i:i + CHURN_BATCH]).encode()
             for i in range(0, len(lines) - CHURN_BATCH + 1, CHURN_BATCH)]
+    random.Random(seed).shuffle(pool)
     courses = inputs["pool_courses"]
-    profs = inputs["pool_professors"]
+    # Each scan's COUNT lies between the preload's triples of its
+    # predicate and those plus every pool triple of it.
+    bounds = {}
+    with open(os.path.join(workdir, "data.nt")) as f:
+        preload = [line.split(" ", 2)[1] for line in f]
+    for shape in CHURN_SCANS:
+        pred = "<" + UB + shape + ">"
+        low = preload.count(pred)
+        bounds[shape] = (low, low + sum(1 for line in lines
+                                        if line.split(" ", 2)[1] == pred))
+    del preload
     conn = bl.Conn(srv.port)
     baseline = count_all(conn)
     conn.close()
@@ -672,26 +725,29 @@ def run_churn(srv, inputs, seconds, seed, run, workdir, wal_dir):
 
     def reader():
         c = bl.Conn(srv.port)
+        i = 0
         while measuring.is_set():
-            if rng.random() < 0.5:
-                req = Request("LQ1", "SELECT ?s ?p WHERE { ?s ?p %s }"
-                              % rng.choice(courses))
-            else:
-                req = Request("LQ3", "SELECT ?p ?o WHERE { %s ?p ?o }"
-                              % rng.choice(profs))
+            shape = CHURN_SCANS[i % len(CHURN_SCANS)]
+            i += 1
             traced = run.traced_now()
             t = time.monotonic()
-            status, _ = req.send(c)
+            status, body = c.query(PREFIX + "SELECT (COUNT(*) AS ?n) "
+                                   "WHERE { ?s ub:%s ?o }" % shape)
             e = time.monotonic()
-            run.attempt(status == 200, "%s status %d" % (req.shape, status))
-            run.read(req.shape, (e - t) * 1000.0, traced)
-            run.span("client.query." + req.shape, t, e, traced)
+            low, high = bounds[shape]
+            n = bl.rows_of(body, ["?n"])[0][0] if status == 200 else None
+            run.attempt(n is not None and low <= n <= high,
+                        "%s status %d count %s outside [%d, %d]"
+                        % (shape, status, n, low, high))
+            run.read(shape, (e - t) * 1000.0, traced)
+            run.span("client.query." + shape, t, e, traced)
             time.sleep(CHURN_READ_PAUSE_S)
         c.close()
 
     sampler = RssSampler(srv, lambda: baseline + step["inserted"]
                          - step["erased"], seconds)
-    writers = [threading.Thread(target=writer) for _ in range(2)]
+    writers = [threading.Thread(target=writer)
+               for _ in range(CHURN_WRITERS)]
     read_thread = threading.Thread(target=reader)
     for w in writers:
         w.start()
@@ -720,9 +776,11 @@ def run_churn(srv, inputs, seconds, seed, run, workdir, wal_dir):
               "rss_per_triple": sampler.ratios}
     result["ingest_triples_per_s"] = sum(acked) / measured_s
     conn = bl.Conn(srv.port)
-    ins, _, q_ins, q_era, _ = quiet_writes(
-        conn, run, probe_bodies(courses, CHURN_BATCH, 16, "quiet"), 1.0)
-    result["quiet_ms"] = ins
+    probe = quiet_writes(
+        conn, run, probe_bodies(courses, CHURN_BATCH, 16, "quiet%d-" % seed),
+        1.0)
+    q_ins, q_era = sum(probe["/insert"]["n"]), sum(probe["/erase"]["n"])
+    result["quiet_ms"] = probe["/insert"]["ms"]
     result["write_triples"] = step["inserted"] + step["erased"] + q_ins + q_era
     expected = baseline + step["inserted"] - step["erased"] + q_ins - q_era
     before = count_all(conn)
@@ -779,14 +837,26 @@ def trace_overhead(reads):
     return bl.median(rel) - 1.0 if rel else 0.0
 
 
+def latency_groups(workload, run, res):
+    """Read and write latencies in the groups each percentile is taken
+    over before the median across them: equal time windows of the
+    measured phase, or paper_queries' write probe blocks."""
+    span = (run.t0, run.t0 + res["measured_s"])
+    k = WINDOWS[workload]
+    reads = bl.window_slices([ms for _, ms, _ in run.reads], run.read_t,
+                             span, k)
+    writes = (res["write_blocks"] if "write_blocks" in res
+              else bl.window_slices(run.writes, run.write_t, span, k))
+    return {"read": [g for g in reads if g], "write": [g for g in writes if g]}
+
+
 def end_to_end(workload, run, res, setups):
     tail = TAIL[workload]
     reads = [ms for _, ms, _ in run.reads]
-    span = (run.t0, run.t0 + res["measured_s"])
-    k = WINDOWS[workload]
+    groups = latency_groups(workload, run, res)
 
-    def lat(values, times, p):
-        return bl.windowed_percentile(values, times, span, p, k)
+    def lat(kind, p):
+        return bl.median([bl.percentile(g, p) for g in groups[kind]])
     if workload == "paper_queries":
         geo = bl.geomean([bl.median(v) for v in res["per_query"].values()])
     else:
@@ -795,13 +865,11 @@ def end_to_end(workload, run, res, setups):
         "setup_s": (bl.median(setups), "s", len(setups)),
         "rss_bytes_per_triple": (bl.median(res["rss_per_triple"]), "B",
                                  len(res["rss_per_triple"])),
-        "read_p50_ms": (lat(reads, run.read_t, 50.0), "ms", len(reads)),
-        "read_tail_ms": (lat(reads, run.read_t, tail), "ms", len(reads)),
+        "read_p50_ms": (lat("read", 50.0), "ms", len(reads)),
+        "read_tail_ms": (lat("read", tail), "ms", len(reads)),
         "read_geomean_ms": (geo, "ms", len(reads)),
-        "write_p50_ms": (lat(run.writes, run.write_t, 50.0), "ms",
-                         len(run.writes)),
-        "write_tail_ms": (lat(run.writes, run.write_t, tail), "ms",
-                          len(run.writes)),
+        "write_p50_ms": (lat("write", 50.0), "ms", len(run.writes)),
+        "write_tail_ms": (lat("write", tail), "ms", len(run.writes)),
         "ingest_triples_per_s": (res["ingest_triples_per_s"], "1/s",
                                  len(run.writes)),
     }
@@ -846,7 +914,7 @@ def main():
     watchdog.start()
     try:
         subprocess.check_call([TOOL, "gen", "--workload", args.workload,
-                               "--seed", str(args.seed), "--out", workdir])
+                               "--seed", str(DATA_SEED), "--out", workdir])
         with open(os.path.join(workdir, "inputs.json")) as f:
             inputs = json.load(f)
         data = os.path.join(workdir, "data.nt")
@@ -863,7 +931,7 @@ def main():
                     shutil.rmtree(wal)
         run = Run(args.trace == 1)
         if args.workload == "paper_queries":
-            res = run_paper(srv, inputs, args.seconds, run)
+            res = run_paper(srv, inputs, args.seconds, args.seed, run)
         elif args.workload == "served_mixed":
             res = run_served(srv, inputs, args.seconds, args.seed, run)
         else:
@@ -875,7 +943,7 @@ def main():
         meta = metadata(args, inputs, srv.config)
         if args.trace:
             out = subprocess.run([TOOL, "trace", "--workload", args.workload,
-                                  "--seed", str(args.seed), "--out", workdir],
+                                  "--seed", str(DATA_SEED), "--out", workdir],
                                  capture_output=True, text=True)
             if out.returncode != 0:
                 raise BenchError("perfbench_tool trace failed: "
@@ -918,13 +986,10 @@ def main():
                           for k, (v, u, n) in report.items()},
               "shapes": shape_summary(run.reads),
               "windows": {
-                  kind: {"p%g" % p: bl.window_percentiles(
-                      v, t, (run.t0, run.t0 + res["measured_s"]), p,
-                      WINDOWS[args.workload]) for p in (50.0, TAIL[
-                          args.workload])} if v else {}
-                  for kind, v, t in (
-                      ("read", [ms for _, ms, _ in run.reads], run.read_t),
-                      ("write", run.writes, run.write_t))},
+                  kind: {"p%g" % p: [bl.percentile(g, p) for g in gs]
+                         for p in (50.0, TAIL[args.workload])}
+                  for kind, gs in latency_groups(args.workload, run,
+                                                 res).items()},
               "extra": {k: v for k, v in res.items()
                         if k in ("counts", "oracle_failed", "measured_s")}}
     with open(os.path.join(results_dir, "%s-seed%d-trace%d.json"
@@ -943,8 +1008,8 @@ def validity(workload, res, run):
     (ok, detail); a failed one marks the run incorrect."""
     s = res["scrape"]
     checks = {}
-    for kind, n in (("read", len(run.reads)), ("write", len(run.writes))):
-        n //= WINDOWS[workload]
+    for kind, groups in latency_groups(workload, run, res).items():
+        n = sum(len(g) for g in groups) // max(len(groups), 1)
         checks[kind + "_tail_samples"] = (
             bl.samples_beyond(n, TAIL[workload]) >= 10,
             "p%g over %d samples per window (highest supported: p%s)"
