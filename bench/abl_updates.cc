@@ -503,7 +503,7 @@ int Main(int argc, char** argv) {
     RegisterInsertErase<TripleTableStore>("TripleTable", n);
     for (std::size_t threshold : kDeltaThresholds) {
       RegisterInsertErase<DeltaHexastore>(DeltaLabel(threshold), n,
-                                          threshold);
+                                          DeltaOptions{threshold});
       // Background compaction: same write loop, drains on the
       // compactor thread.
       RegisterInsertErase<DeltaHexastore>(
@@ -515,11 +515,11 @@ int Main(int argc, char** argv) {
                                    kDeltaThresholds[0] / 2);
     for (std::size_t threshold : kDeltaThresholds) {
       RegisterRead<DeltaHexastore>(DeltaLabel(threshold), n, threshold / 2,
-                                   threshold);
+                                   DeltaOptions{threshold});
     }
     // Flat-p99 demonstration: per-op latency through ~4 drains, writer
     // thread (sync) vs compactor thread (bg).
-    RegisterDrainLatency(DeltaLabel(n / 4) + "/sync", n, n / 4);
+    RegisterDrainLatency(DeltaLabel(n / 4) + "/sync", n, DeltaOptions{n / 4});
     RegisterDrainLatency(
         BgDeltaLabel(n / 4), n,
         DeltaOptions{n / 4, /*background_compaction=*/true});

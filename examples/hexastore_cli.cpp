@@ -107,8 +107,8 @@ int main(int argc, char** argv) {
   query::SessionOptions session_options;
   session_options.sink = &sink;
   session_options.plan_cache = &plan_cache;
-  // Plain in-memory Hexastore: the TripleStore ctor forces PinPolicy
-  // kNone (no generation gate to pin).
+  // Plain in-memory Hexastore: no generation gate, so every query reads
+  // the store itself whatever the pin policy.
   query::Session session(graph.store(), graph.dict(), session_options);
   bool loaded = false;
   bool show_stats = false;

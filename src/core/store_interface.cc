@@ -33,4 +33,11 @@ void TripleStore::BulkLoad(const IdTripleVec& triples) {
   }
 }
 
+bool TripleStore::Pin(PinPolicy, const PinnedFn& fn) const {
+  // Unpinned stores have no epoch; the size doubles as a weak staged-ops
+  // stamp (the plan cache's estimate probes catch what it misses).
+  fn(*this, {0, size()});
+  return false;
+}
+
 }  // namespace hexastore

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "rdf/triple.h"
 #include "util/common.h"
@@ -24,6 +25,22 @@ namespace hexastore {
 /// unconditional (no early termination); use CountMatches/Exists for
 /// cheaper predicates.
 using TripleSink = std::function<void(const IdTriple&)>;
+
+class TripleStore;
+
+/// How a read isolates itself from concurrent writers (see
+/// TripleStore::Pin).
+enum class PinPolicy : std::uint8_t {
+  kNone = 0,          ///< read the live store directly
+  kWaitFree = 1,      ///< the last published generation; never blocks
+  kLinearizable = 2,  ///< the current generation (briefly takes the
+                      ///< writer mutex)
+};
+
+/// Receives the read view a TripleStore::Pin chose and the view's
+/// plan-cache freshness stamp parts (see PlanCacheStamp).
+using PinnedFn = std::function<void(const TripleStore& view,
+                                    std::vector<std::uint64_t> stamp)>;
 
 /// Common interface of all triple stores in this library.
 class TripleStore {
@@ -76,6 +93,15 @@ class TripleStore {
   /// Bulk-insert; default loops over Insert, stores may override with a
   /// faster path.
   virtual void BulkLoad(const IdTripleVec& triples);
+
+  /// Runs `fn` once against a read view chosen by `policy`; returns true
+  /// when that view is a pinned generation. The default (stores with no
+  /// generation gate, and every store under kNone) hands `fn` the store
+  /// itself with the stamp {0, size()} and returns false. The delta
+  /// stores and the sharded facade pin one generation (per shard) for
+  /// the whole call, so planning and evaluation inside `fn` never see a
+  /// merge move underneath them.
+  virtual bool Pin(PinPolicy policy, const PinnedFn& fn) const;
 };
 
 }  // namespace hexastore

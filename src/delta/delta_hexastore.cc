@@ -494,9 +494,6 @@ OverlayView GenView(const DeltaGeneration& gen) {
 
 }  // namespace
 
-DeltaHexastore::DeltaHexastore(std::size_t compact_threshold)
-    : DeltaHexastore(DeltaOptions{compact_threshold, false}) {}
-
 std::string DeltaOptions::Normalize() {
   std::string repaired;
   auto note = [&repaired](const std::string& what) {
@@ -642,9 +639,6 @@ void DeltaHexastore::RegisterMeters() {
                               "wait-free read-handle acquisition latency "
                               "(1-in-128 sampled)",
                               &meters_.handle_acquire_ns);
-  registry_.RegisterHistogram("hexa_merge_join_latency_ns",
-                              "merge-join step latency (1-in-128 sampled)",
-                              &meters_.merge_join_ns);
   registry_.RegisterHistogram("hexa_seal_latency_ns", "seal duration",
                               &meters_.seal_ns);
   registry_.RegisterHistogram("hexa_fold_latency_ns",
@@ -1036,6 +1030,16 @@ DeltaHexastore::Snapshot DeltaHexastore::GetSnapshot() const {
 DeltaHexastore::Snapshot DeltaHexastore::AcquireReadHandle() const {
   obs::ScopedTimer timer(&meters_.handle_acquire_ns);
   return Snapshot(gate_.Acquire());
+}
+
+bool DeltaHexastore::Pin(PinPolicy policy, const PinnedFn& fn) const {
+  if (policy == PinPolicy::kNone) {
+    return TripleStore::Pin(policy, fn);
+  }
+  const Snapshot snap =
+      policy == PinPolicy::kLinearizable ? GetSnapshot() : AcquireReadHandle();
+  fn(snap, {snap.epoch(), snap.staged_ops()});
+  return true;
 }
 
 // -- Snapshot -------------------------------------------------------------

@@ -76,8 +76,7 @@
 
 namespace hexastore {
 
-/// Default number of staged operations that triggers auto-compaction
-/// (shared by DeltaOptions and the legacy size_t constructor).
+/// Default number of staged operations that triggers auto-compaction.
 inline constexpr std::size_t kDeltaCompactThresholdDefault = 64 * 1024;
 
 /// Construction-time configuration of a DeltaHexastore.
@@ -131,10 +130,7 @@ class DeltaHexastore : public TripleStore {
   static constexpr std::size_t kDefaultCompactThreshold =
       kDeltaCompactThresholdDefault;
 
-  /// Synchronous-compaction store (drains on the writer thread).
-  explicit DeltaHexastore(
-      std::size_t compact_threshold = kDefaultCompactThreshold);
-  explicit DeltaHexastore(const DeltaOptions& options);
+  explicit DeltaHexastore(const DeltaOptions& options = {});
 
   DeltaHexastore(const DeltaHexastore&) = delete;
   DeltaHexastore& operator=(const DeltaHexastore&) = delete;
@@ -261,12 +257,6 @@ class DeltaHexastore : public TripleStore {
   /// registration mutex, never blocks on the compactor).
   bool DumpMetricsJson(const std::string& path) const;
 
-  /// Histogram timing the DeltaHexastore merge-join overloads (recorded
-  /// by query/merge_join.cc through this accessor).
-  obs::LatencyHistogram* merge_join_histogram() const {
-    return &meters_.merge_join_ns;
-  }
-
   // -- Pinned-generation reads --------------------------------------------
 
   /// An immutable view of one published {base, levels, active}
@@ -334,6 +324,11 @@ class DeltaHexastore : public TripleStore {
   /// touches the store mutex; may trail the live store by the ops staged
   /// since the last publication (see the file comment).
   Snapshot AcquireReadHandle() const;
+
+  /// kWaitFree runs `fn` on AcquireReadHandle(), kLinearizable on
+  /// GetSnapshot(), each stamped (epoch, staged_ops); kNone reads the
+  /// live store (TripleStore::Pin).
+  bool Pin(PinPolicy policy, const PinnedFn& fn) const override;
 
   // -- Merged accessor views (the paper's vectors and lists) --------------
   // Mirror Hexastore's accessors but return merging views instead of raw
@@ -505,7 +500,7 @@ class DeltaHexastore : public TripleStore {
   // bookkeeping — DeltaStats is a view over them — so they are always
   // maintained; only the latency histograms honor the HEXA_METRICS
   // toggle (via ScopedTimer). Mutable because const read paths
-  // (Contains, AcquireReadHandle, the merge joins) time themselves.
+  // (Contains, AcquireReadHandle) time themselves.
   struct Meters {
     obs::Counter compactions;       // every merge (drain, bg merge, fold)
     obs::Counter seals;
@@ -528,7 +523,6 @@ class DeltaHexastore : public TripleStore {
     obs::LatencyHistogram erase_ns{obs::kHotPathSampleShift};
     obs::LatencyHistogram contains_ns{obs::kHotPathSampleShift};
     obs::LatencyHistogram handle_acquire_ns{obs::kHotPathSampleShift};
-    obs::LatencyHistogram merge_join_ns{obs::kHotPathSampleShift};
     obs::LatencyHistogram seal_ns{0};
     obs::LatencyHistogram fold_ns{0};
     obs::LatencyHistogram base_merge_ns{0};

@@ -150,32 +150,6 @@ class MergedList {
   const IdVec* removes_ = nullptr;
 };
 
-/// Linear merge join over two ascending cursors: calls `emit(id)` for
-/// every id produced by both (the cursor-generalized MergeJoin).
-template <typename CursorA, typename CursorB, typename Emit>
-void MergeJoinCursors(CursorA a, CursorB b, Emit&& emit) {
-  while (!a.done() && !b.done()) {
-    if (a.value() < b.value()) {
-      a.next();
-    } else if (b.value() < a.value()) {
-      b.next();
-    } else {
-      emit(a.value());
-      a.next();
-      b.next();
-    }
-  }
-}
-
-/// Materialized intersection of two ascending cursors.
-template <typename CursorA, typename CursorB>
-IdVec IntersectCursors(CursorA a, CursorB b) {
-  IdVec out;
-  MergeJoinCursors(std::move(a), std::move(b),
-                   [&out](Id id) { out.push_back(id); });
-  return out;
-}
-
 }  // namespace hexastore
 
 #endif  // HEXASTORE_DELTA_MERGED_LIST_H_

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/store_interface.h"
-#include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
 #include "query/binding.h"
 #include "query/pattern.h"
@@ -29,9 +28,9 @@ using BindingSink = std::function<void(const Binding&)>;
 /// `profile`, when non-null, accumulates per-pattern probes, rows
 /// scanned/emitted and inclusive wall time into
 /// `profile->patterns[depth]` (sized to the order if the caller did not
-/// AttachPlan first). With nullptr the evaluation path is byte-for-byte
-/// the unprofiled one — no clock reads (pinned by
-/// bench/abl_obs_overhead.cc).
+/// AttachPlan first), and stops descending once its deadline passes.
+/// With nullptr no clock is read (bench/abl_obs_overhead.cc pins the
+/// difference).
 void EvalBgp(const TripleStore& store, const CompiledBgp& bgp,
              const std::vector<std::size_t>& order, const BindingSink& sink,
              QueryProfile* profile = nullptr);
@@ -42,22 +41,6 @@ void EvalBgp(const TripleStore& store, const CompiledBgp& bgp,
 ResultSet EvalBgp(const TripleStore& store, const Dictionary& dict,
                   const std::vector<TriplePattern>& patterns,
                   QueryProfile* profile = nullptr);
-
-/// Pinned-generation evaluation: takes one snapshot handle up front and
-/// runs planning (delta-aware EstimateMatches) plus every scan of the
-/// whole BGP against that single frozen generation — the query never
-/// touches the store mutex again and never observes a seal, fold or
-/// base merge moving a level underneath it, however long it runs.
-/// Equivalent to `EvalBgp(store.GetSnapshot(), dict, patterns)`.
-/// With a profile, `pin_ns` records how long the generation stayed
-/// pinned (here: the whole query, snapshot acquisition included).
-///
-/// DEPRECATED: the profiled path is a shim over query::Session with
-/// PinPolicy::kLinearizable; prefer Session::EvalBgp, which adds the
-/// plan cache, deadlines and sink aggregation.
-ResultSet EvalBgpPinned(const DeltaHexastore& store, const Dictionary& dict,
-                        const std::vector<TriplePattern>& patterns,
-                        QueryProfile* profile = nullptr);
 
 }  // namespace hexastore
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/scoped_timer.h"
+#include "obs/metrics.h"
 
 namespace hexastore {
 
@@ -87,139 +87,6 @@ std::vector<std::pair<Id, Id>> JoinChain(const Hexastore& store, Id p1,
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   });
-}
-
-namespace {
-
-// DeltaHexastore and its Snapshot expose identical merged-accessor
-// signatures, so one generic body serves the live store (per-call
-// linearizable views) and the pinned-generation handle alike.
-
-template <typename MergedSource>
-IdVec JoinSubjectsByObjectsImpl(const MergedSource& src, Id p1, Id o1,
-                                Id p2, Id o2) {
-  return IntersectCursors(src.subjects(p1, o1).cursor(),
-                          src.subjects(p2, o2).cursor());
-}
-
-template <typename MergedSource>
-IdVec JoinObjectsBySubjectsImpl(const MergedSource& src, Id s1, Id p1,
-                                Id s2, Id p2) {
-  return IntersectCursors(src.objects(s1, p1).cursor(),
-                          src.objects(s2, p2).cursor());
-}
-
-template <typename MergedSource>
-IdVec JoinSubjectsOfObjectsImpl(const MergedSource& src, Id o1, Id o2) {
-  return Intersect(src.subjects_of_object(o1), src.subjects_of_object(o2));
-}
-
-template <typename MergedSource>
-IdVec JoinPredicatesByPairsImpl(const MergedSource& src, Id s1, Id o1,
-                                Id s2, Id o2) {
-  return IntersectCursors(src.predicates(s1, o1).cursor(),
-                          src.predicates(s2, o2).cursor());
-}
-
-template <typename MergedSource>
-std::vector<std::pair<Id, Id>> JoinChainImpl(const MergedSource& src,
-                                             Id p1, Id p2) {
-  std::vector<std::pair<Id, Id>> out;
-  const IdVec mids_from_p1 = src.objects_of_predicate(p1);
-  const IdVec mids_to_p2 = src.subjects_of_predicate(p2);
-  MergeJoin(mids_from_p1, mids_to_p2, [&](Id mid) {
-    // Named views: a cursor must not outlive the MergedList that pins the
-    // generation it reads.
-    const MergedList starts = src.subjects(p1, mid);
-    const MergedList ends = src.objects(mid, p2);
-    for (MergedListCursor s = starts.cursor(); !s.done(); s.next()) {
-      for (MergedListCursor e = ends.cursor(); !e.done(); e.next()) {
-        out.emplace_back(s.value(), e.value());
-      }
-    }
-  });
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-}  // namespace
-
-// The live-store overloads time each join step into the store's
-// hexa_merge_join_latency_ns histogram (the Snapshot overloads stay
-// untimed: a pinned handle has no back-pointer to its owning store).
-
-IdVec JoinSubjectsByObjects(const DeltaHexastore& store, Id p1, Id o1,
-                            Id p2, Id o2, QueryProfile* profile) {
-  obs::ScopedTimer timer(store.merge_join_histogram());
-  return Profiled(profile, "join_subjects_by_objects", [&] {
-    return JoinSubjectsByObjectsImpl(store, p1, o1, p2, o2);
-  });
-}
-
-IdVec JoinObjectsBySubjects(const DeltaHexastore& store, Id s1, Id p1,
-                            Id s2, Id p2, QueryProfile* profile) {
-  obs::ScopedTimer timer(store.merge_join_histogram());
-  return Profiled(profile, "join_objects_by_subjects", [&] {
-    return JoinObjectsBySubjectsImpl(store, s1, p1, s2, p2);
-  });
-}
-
-IdVec JoinSubjectsOfObjects(const DeltaHexastore& store, Id o1, Id o2,
-                            QueryProfile* profile) {
-  obs::ScopedTimer timer(store.merge_join_histogram());
-  return Profiled(profile, "join_subjects_of_objects",
-                  [&] { return JoinSubjectsOfObjectsImpl(store, o1, o2); });
-}
-
-IdVec JoinPredicatesByPairs(const DeltaHexastore& store, Id s1, Id o1,
-                            Id s2, Id o2, QueryProfile* profile) {
-  obs::ScopedTimer timer(store.merge_join_histogram());
-  return Profiled(profile, "join_predicates_by_pairs", [&] {
-    return JoinPredicatesByPairsImpl(store, s1, o1, s2, o2);
-  });
-}
-
-std::vector<std::pair<Id, Id>> JoinChain(const DeltaHexastore& store,
-                                         Id p1, Id p2,
-                                         QueryProfile* profile) {
-  obs::ScopedTimer timer(store.merge_join_histogram());
-  return Profiled(profile, "join_chain",
-                  [&] { return JoinChainImpl(store, p1, p2); });
-}
-
-IdVec JoinSubjectsByObjects(const DeltaHexastore::Snapshot& snap, Id p1,
-                            Id o1, Id p2, Id o2, QueryProfile* profile) {
-  return Profiled(profile, "join_subjects_by_objects", [&] {
-    return JoinSubjectsByObjectsImpl(snap, p1, o1, p2, o2);
-  });
-}
-
-IdVec JoinObjectsBySubjects(const DeltaHexastore::Snapshot& snap, Id s1,
-                            Id p1, Id s2, Id p2, QueryProfile* profile) {
-  return Profiled(profile, "join_objects_by_subjects", [&] {
-    return JoinObjectsBySubjectsImpl(snap, s1, p1, s2, p2);
-  });
-}
-
-IdVec JoinSubjectsOfObjects(const DeltaHexastore::Snapshot& snap, Id o1,
-                            Id o2, QueryProfile* profile) {
-  return Profiled(profile, "join_subjects_of_objects",
-                  [&] { return JoinSubjectsOfObjectsImpl(snap, o1, o2); });
-}
-
-IdVec JoinPredicatesByPairs(const DeltaHexastore::Snapshot& snap, Id s1,
-                            Id o1, Id s2, Id o2, QueryProfile* profile) {
-  return Profiled(profile, "join_predicates_by_pairs", [&] {
-    return JoinPredicatesByPairsImpl(snap, s1, o1, s2, o2);
-  });
-}
-
-std::vector<std::pair<Id, Id>> JoinChain(
-    const DeltaHexastore::Snapshot& snap, Id p1, Id p2,
-    QueryProfile* profile) {
-  return Profiled(profile, "join_chain",
-                  [&] { return JoinChainImpl(snap, p1, p2); });
 }
 
 }  // namespace hexastore

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/hexastore.h"
-#include "delta/delta_hexastore.h"
 #include "index/sorted_vec.h"
 #include "query/profile.h"
 
@@ -62,52 +61,6 @@ IdVec JoinPredicatesByPairs(const Hexastore& store, Id s1, Id o1, Id s2,
 std::vector<std::pair<Id, Id>> JoinChain(const Hexastore& store, Id p1,
                                          Id p2,
                                          QueryProfile* profile = nullptr);
-
-// -- DeltaHexastore overloads ---------------------------------------------
-// Same joins over the delta-layered store: each sorted input is a
-// MergedList — the zero-copy cursor base ∪ staged adds ∖ tombstones when
-// only the active layer exists, or a materialized view of the full level
-// chain (active ▷ L0 runs ▷ L1 ▷ base, docs/delta-levels.md) when sealed
-// runs are present — so the joins stay linear merges mid-delta at any
-// level shape.
-
-IdVec JoinSubjectsByObjects(const DeltaHexastore& store, Id p1, Id o1,
-                            Id p2, Id o2,
-                            QueryProfile* profile = nullptr);
-IdVec JoinObjectsBySubjects(const DeltaHexastore& store, Id s1, Id p1,
-                            Id s2, Id p2,
-                            QueryProfile* profile = nullptr);
-IdVec JoinSubjectsOfObjects(const DeltaHexastore& store, Id o1, Id o2,
-                            QueryProfile* profile = nullptr);
-IdVec JoinPredicatesByPairs(const DeltaHexastore& store, Id s1, Id o1,
-                            Id s2, Id o2,
-                            QueryProfile* profile = nullptr);
-std::vector<std::pair<Id, Id>> JoinChain(const DeltaHexastore& store,
-                                         Id p1, Id p2,
-                                         QueryProfile* profile = nullptr);
-
-// -- Pinned-generation overloads ------------------------------------------
-// Same joins over one DeltaHexastore::Snapshot: every input list comes
-// from the single generation the handle pins, so a join never blocks on
-// the store mutex and never straddles a compaction — take the handle
-// once (GetSnapshot() or the wait-free AcquireReadHandle()) and run the
-// whole join plan against it.
-
-IdVec JoinSubjectsByObjects(const DeltaHexastore::Snapshot& snap, Id p1,
-                            Id o1, Id p2, Id o2,
-                            QueryProfile* profile = nullptr);
-IdVec JoinObjectsBySubjects(const DeltaHexastore::Snapshot& snap, Id s1,
-                            Id p1, Id s2, Id p2,
-                            QueryProfile* profile = nullptr);
-IdVec JoinSubjectsOfObjects(const DeltaHexastore::Snapshot& snap, Id o1,
-                            Id o2,
-                            QueryProfile* profile = nullptr);
-IdVec JoinPredicatesByPairs(const DeltaHexastore::Snapshot& snap, Id s1,
-                            Id o1, Id s2, Id o2,
-                            QueryProfile* profile = nullptr);
-std::vector<std::pair<Id, Id>> JoinChain(
-    const DeltaHexastore::Snapshot& snap, Id p1, Id p2,
-    QueryProfile* profile = nullptr);
 
 }  // namespace hexastore
 

@@ -1,6 +1,7 @@
 #include "query/session.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
@@ -8,7 +9,6 @@
 #include "query/bgp.h"
 #include "query/operators.h"
 #include "query/planner.h"
-#include "query/sparql_engine.h"
 
 namespace hexastore {
 namespace query {
@@ -206,7 +206,7 @@ Result<ResultSet> Aggregate(const ResultSet& in, const ParsedQuery& query) {
 // True when the profile carries an expired deadline; sets the flag so
 // every later boundary short-circuits without another clock read.
 bool DeadlineHit(QueryProfile* profile) {
-  if (profile == nullptr || profile->deadline_ns == 0) {
+  if (profile->deadline_ns == 0) {
     return false;
   }
   if (profile->deadline_exceeded) {
@@ -219,45 +219,33 @@ bool DeadlineHit(QueryProfile* profile) {
   return false;
 }
 
-}  // namespace
-
-namespace internal {
-
+// Profiled BGP evaluation; the join order comes from `cache` (validated
+// against `stamp`) when there is one, else straight from PlanBgp.
+// `from_cache` reports whether the cache served the order.
 ResultSet EvalBgpMaybeCached(const TripleStore& store,
                              const Dictionary& dict,
                              const std::vector<TriplePattern>& patterns,
                              QueryProfile* profile, PlanCache* cache,
                              const PlanCacheStamp& stamp, bool* from_cache) {
-  if (from_cache != nullptr) {
-    *from_cache = false;
-  }
-  if (cache == nullptr) {
-    // Legacy path, bit-for-bit: EvalBgp owns compile+plan+eval.
-    return hexastore::EvalBgp(store, dict, patterns, profile);
-  }
+  *from_cache = false;
   CompiledBgp bgp = CompileBgp(patterns, dict);
   ResultSet result;
   result.vars = bgp.vars;
   if (bgp.trivially_empty) {
     return result;
   }
-  const BindingSink materialize = [&result](const Binding& b) {
-    result.rows.push_back(b.values());
-  };
-  if (profile == nullptr) {
-    std::vector<std::size_t> order =
-        cache->Plan(store, bgp, stamp, nullptr, from_cache);
-    hexastore::EvalBgp(store, bgp, order, materialize);
-    return result;
-  }
   PlanProfile plan;
   const std::uint64_t plan_start = obs::NowNanos();
   std::vector<std::size_t> order =
-      cache->Plan(store, bgp, stamp, &plan, from_cache);
+      cache != nullptr ? cache->Plan(store, bgp, stamp, &plan, from_cache)
+                       : PlanBgp(store, bgp, &plan);
   profile->plan_ns += obs::NowNanos() - plan_start;
   AttachPlan(bgp, dict, plan, profile);
+  const BindingSink materialize = [&result](const Binding& b) {
+    result.rows.push_back(b.values());
+  };
   const std::uint64_t eval_start = obs::NowNanos();
-  hexastore::EvalBgp(store, bgp, order, materialize, profile);
+  EvalBgp(store, bgp, order, materialize, profile);
   profile->eval_ns += obs::NowNanos() - eval_start;
   profile->rows_out += result.rows.size();
   profile->total_ns =
@@ -265,6 +253,8 @@ ResultSet EvalBgpMaybeCached(const TripleStore& store,
   return result;
 }
 
+// The solution-modifier pipeline: profiled BGP evaluation, filters,
+// aggregation, ORDER BY, projection, DISTINCT, LIMIT.
 Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
                                         const Dictionary& dict,
                                         const ParsedQuery& query,
@@ -276,7 +266,6 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   // eval phase (everything after parse+plan).
   auto record_op = [&](const char* name, std::uint64_t rows_in,
                        std::uint64_t rows_out, std::uint64_t start_ns) {
-    if (profile == nullptr) return;
     OperatorProfile op;
     op.name = name;
     op.rows_in = rows_in;
@@ -285,11 +274,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
     profile->eval_ns += op.wall_ns;
     profile->operators.push_back(op);
   };
-  auto op_start = [&]() -> std::uint64_t {
-    return profile != nullptr ? obs::NowNanos() : 0;
-  };
   auto finish = [&](const ResultSet& r) {
-    if (profile == nullptr) return;
     profile->rows_out = r.rows.size();
     profile->total_ns =
         profile->parse_ns + profile->plan_ns + profile->eval_ns;
@@ -308,7 +293,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
 
   // Filters.
   if (!query.filters.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t in_rows = result.rows.size();
     std::vector<Row> kept;
     kept.reserve(result.rows.size());
@@ -338,7 +323,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
 
   // Aggregation replaces projection when present.
   if (!query.aggregates.empty() || !query.group_by.empty()) {
-    const std::uint64_t t_agg = op_start();
+    const std::uint64_t t_agg = obs::NowNanos();
     const std::uint64_t in_rows = result.rows.size();
     auto aggregated = Aggregate(result, query);
     if (!aggregated.ok()) {
@@ -347,7 +332,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
     result = std::move(aggregated).value();
     record_op("aggregate", in_rows, result.rows.size(), t_agg);
     if (!query.order_by.empty()) {
-      const std::uint64_t t = op_start();
+      const std::uint64_t t = obs::NowNanos();
       Status s = SortByColumns(&result, dict, query.order_by);
       if (!s.ok()) {
         return s;
@@ -355,7 +340,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
       record_op("order_by", result.rows.size(), result.rows.size(), t);
     }
     if (query.limit.has_value()) {
-      const std::uint64_t t = op_start();
+      const std::uint64_t t = obs::NowNanos();
       const std::uint64_t pre = result.rows.size();
       result = Limit(std::move(result), *query.limit);
       record_op("limit", pre, result.rows.size(), t);
@@ -366,7 +351,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
 
   // ORDER BY (before projection so sort keys need not be projected).
   if (!query.order_by.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     Status s = SortByColumns(&result, dict, query.order_by);
     if (!s.ok()) {
       return s;
@@ -380,7 +365,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
 
   // Projection.
   if (!query.select_vars.empty()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     std::vector<VarId> cols;
     for (const auto& name : query.select_vars) {
       VarId col = result.vars.Lookup(name);
@@ -394,7 +379,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   }
 
   if (query.distinct) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t pre = result.rows.size();
     bool had_order = !query.order_by.empty();
     result = Distinct(std::move(result));
@@ -416,7 +401,7 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   }
 
   if (query.limit.has_value()) {
-    const std::uint64_t t = op_start();
+    const std::uint64_t t = obs::NowNanos();
     const std::uint64_t pre = result.rows.size();
     result = Limit(std::move(result), *query.limit);
     record_op("limit", pre, result.rows.size(), t);
@@ -425,25 +410,11 @@ Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
   return result;
 }
 
-}  // namespace internal
-
-Session::Session(const DeltaHexastore& store, const Dictionary& dict,
-                 SessionOptions options)
-    : plain_(store), delta_(&store), dict_(dict), options_(options) {}
-
-Session::Session(const ShardedHexastore& store, const Dictionary& dict,
-                 SessionOptions options)
-    : plain_(store),
-      delta_(nullptr),
-      sharded_(&store),
-      dict_(dict),
-      options_(options) {}
+}  // namespace
 
 Session::Session(const TripleStore& store, const Dictionary& dict,
                  SessionOptions options)
-    : plain_(store), delta_(nullptr), dict_(dict), options_(options) {
-  options_.pin = PinPolicy::kNone;
-}
+    : store_(store), dict_(dict), options_(options) {}
 
 Result<ResultSet> Session::Run(const ParsedQuery& query,
                                std::string_view text, bool* from_cache) {
@@ -451,46 +422,19 @@ Result<ResultSet> Session::Run(const ParsedQuery& query,
     profile_.deadline_ns = obs::NowNanos() + options_.deadline_ns;
   }
   Result<ResultSet> result = Status::Internal("session: not executed");
-  const bool pinned = (delta_ != nullptr || sharded_ != nullptr) &&
-                      options_.pin != PinPolicy::kNone;
-  if (pinned && sharded_ != nullptr) {
-    const std::uint64_t pin_start = obs::NowNanos();
-    {
-      const ShardedSnapshot snap =
-          options_.pin == PinPolicy::kLinearizable
-              ? sharded_->GetSnapshot()
-              : sharded_->AcquireReadHandle();
-      const PlanCacheStamp stamp(snap.StampVector());
-      result = internal::ExecuteSparqlPipeline(
-          snap, dict_, query, &profile_, options_.plan_cache, stamp,
-          from_cache);
-    }
+  auto run = [&](const TripleStore& view, std::vector<std::uint64_t> stamp) {
+    result = ExecuteSparqlPipeline(view, dict_, query, &profile_,
+                                   options_.plan_cache,
+                                   PlanCacheStamp(std::move(stamp)),
+                                   from_cache);
+  };
+  const std::uint64_t pin_start = obs::NowNanos();
+  // By reference: the PinnedFn then holds one pointer, no heap copy.
+  const bool pinned = store_.Pin(options_.pin, std::ref(run));
+  if (pinned) {
+    // Pin time encloses plan+eval, so total is parse + pin.
     profile_.pin_ns = obs::NowNanos() - pin_start;
     profile_.total_ns = profile_.parse_ns + profile_.pin_ns;
-  } else if (pinned) {
-    const std::uint64_t pin_start = obs::NowNanos();
-    {
-      const DeltaHexastore::Snapshot snap =
-          options_.pin == PinPolicy::kLinearizable
-              ? delta_->GetSnapshot()
-              : delta_->AcquireReadHandle();
-      const PlanCacheStamp stamp{snap.epoch(), snap.staged_ops()};
-      result = internal::ExecuteSparqlPipeline(
-          snap, dict_, query, &profile_, options_.plan_cache, stamp,
-          from_cache);
-    }
-    profile_.pin_ns = obs::NowNanos() - pin_start;
-    // Pin time encloses plan+eval, so total is parse + pin (the
-    // EvalBgpPinned convention).
-    profile_.total_ns = profile_.parse_ns + profile_.pin_ns;
-  } else {
-    // Unpinned stores have no epoch; the size doubles as a weak staged-
-    // ops stamp (estimate probes catch what it misses).
-    const PlanCacheStamp stamp{0, plain_.size()};
-    result = internal::ExecuteSparqlPipeline(plain_, dict_, query,
-                                             &profile_,
-                                             options_.plan_cache, stamp,
-                                             from_cache);
   }
   if (options_.sink != nullptr) {
     options_.sink->Record(profile_, text);
@@ -546,24 +490,46 @@ Result<QueryResult> Session::EvalBgp(
 }
 
 Result<std::string> Session::Explain(std::string_view text) {
-  // Plan against the same view a query would evaluate (pin policy
-  // honored), but never through the plan cache: EXPLAIN output must be
-  // deterministic for a given store state.
-  if (sharded_ != nullptr && options_.pin != PinPolicy::kNone) {
-    const ShardedSnapshot snap =
-        options_.pin == PinPolicy::kLinearizable
-            ? sharded_->GetSnapshot()
-            : sharded_->AcquireReadHandle();
-    return ExplainSparql(snap, dict_, text);
+  auto parsed = ParseSparql(text);
+  if (!parsed.ok()) {
+    return parsed.status();
   }
-  if (delta_ != nullptr && options_.pin != PinPolicy::kNone) {
-    const DeltaHexastore::Snapshot snap =
-        options_.pin == PinPolicy::kLinearizable
-            ? delta_->GetSnapshot()
-            : delta_->AcquireReadHandle();
-    return ExplainSparql(snap, dict_, text);
+  const ParsedQuery& query = parsed.value();
+  CompiledBgp bgp = CompileBgp(query.patterns, dict_);
+  std::string out;
+  if (bgp.trivially_empty) {
+    out = "plan: sparql, empty result (constant term not in dictionary)\n";
+  } else {
+    // Plan against the view a query would evaluate (pin policy
+    // honored), but never through the plan cache: EXPLAIN output must be
+    // deterministic for a given store state.
+    PlanProfile plan;
+    auto plan_on = [&](const TripleStore& view, std::vector<std::uint64_t>) {
+      PlanBgp(view, bgp, &plan);
+    };
+    store_.Pin(options_.pin, std::ref(plan_on));
+    QueryProfile profile;
+    profile.kind = QueryKind::kSparql;
+    AttachPlan(bgp, dict_, plan, &profile);
+    out = RenderExplain(profile);
   }
-  return ExplainSparql(plain_, dict_, text);
+  // Solution-modifier stages in the order the pipeline applies them.
+  std::string stages;
+  if (!query.filters.empty()) stages += " filter";
+  if (!query.aggregates.empty() || !query.group_by.empty()) {
+    stages += " aggregate";
+    if (!query.order_by.empty()) stages += " order_by";
+    if (query.limit.has_value()) stages += " limit";
+  } else {
+    if (!query.order_by.empty()) stages += " order_by";
+    if (!query.select_vars.empty()) stages += " project";
+    if (query.distinct) stages += " distinct";
+    if (query.limit.has_value()) stages += " limit";
+  }
+  if (!stages.empty()) {
+    out += "modifiers:" + stages + "\n";
+  }
+  return out;
 }
 
 Result<std::string> Session::ExplainAnalyze(std::string_view text) {

@@ -1,8 +1,7 @@
 // The unified query entry point: one Session object binds a store, a
 // dictionary and a query-execution policy (generation pinning, plan
 // cache, profile sink, per-query deadline), and every front end — the
-// REPL, the CLI, the HTTP server, tests — runs queries through it
-// instead of juggling the RunSparql/EvalBgpPinned free functions.
+// REPL, the CLI, the HTTP server, tests — runs queries through it.
 //
 // What a Session owns vs. shares:
 //
@@ -16,15 +15,14 @@
 //
 // A Session itself is single-threaded state (use one per thread). Every
 // query executes profiled — that is what makes deadlines observable and
-// the sink's histograms complete; the legacy unprofiled fast path stays
-// available through the sparql_engine.h shims.
+// the sink's histograms complete.
 //
-// Pinning: under PinPolicy::kWaitFree each query runs against one
-// AcquireReadHandle() generation — wait-free, never blocked by writers
-// or the compactor, possibly trailing the live store by an in-flight
-// merge. kLinearizable uses GetSnapshot() (serializes with the writer
-// mutex). kNone evaluates the store directly — the only choice for a
-// plain TripleStore, and forced by the TripleStore constructor.
+// Pinning is the store's decision (TripleStore::Pin): under
+// PinPolicy::kWaitFree each query runs against one published generation
+// — wait-free, never blocked by writers or the compactor, possibly
+// trailing the live store by an in-flight merge. kLinearizable pins the
+// current generation (serializes with the writer mutex). kNone, and
+// every store without a generation gate, evaluates the store directly.
 //
 // docs/server.md covers how the server composes Sessions; the plan-cache
 // validity contract lives in plan_cache.h.
@@ -36,9 +34,8 @@
 #include <string_view>
 #include <vector>
 
-#include "delta/delta_hexastore.h"
+#include "core/store_interface.h"
 #include "dict/dictionary.h"
-#include "shard/sharded_hexastore.h"
 #include "query/binding.h"
 #include "query/pattern.h"
 #include "query/plan_cache.h"
@@ -49,12 +46,9 @@
 namespace hexastore {
 namespace query {
 
-/// How a Session isolates each query from concurrent writers.
-enum class PinPolicy : std::uint8_t {
-  kNone = 0,          ///< evaluate the store directly (plain stores)
-  kWaitFree = 1,      ///< AcquireReadHandle() per query (server default)
-  kLinearizable = 2,  ///< GetSnapshot() per query
-};
+/// How a Session isolates each query from concurrent writers (see
+/// TripleStore::Pin).
+using PinPolicy = hexastore::PinPolicy;
 
 /// Session construction knobs. Pointers are borrowed and may be null.
 struct SessionOptions {
@@ -81,18 +75,9 @@ struct QueryResult {
 
 class Session {
  public:
-  /// Session over a DeltaHexastore; all pin policies available.
-  Session(const DeltaHexastore& store, const Dictionary& dict,
-          SessionOptions options = {});
-
-  /// Session over a ShardedHexastore; all pin policies available. Each
-  /// query pins one generation per shard (a ShardedSnapshot) and the
-  /// plan-cache stamp is the concatenated per-shard stamp vector.
-  Session(const ShardedHexastore& store, const Dictionary& dict,
-          SessionOptions options = {});
-
-  /// Session over any TripleStore. No generation gate exists, so the
-  /// pin policy is forced to kNone regardless of `options.pin`.
+  /// Session over any TripleStore; each query runs inside one
+  /// `store.Pin(options.pin, ...)` call, against the view and plan-cache
+  /// stamp the store hands out.
   Session(const TripleStore& store, const Dictionary& dict,
           SessionOptions options = {});
 
@@ -117,7 +102,6 @@ class Session {
   Result<std::string> ExplainAnalyze(std::string_view text);
 
   const Dictionary& dict() const { return dict_; }
-  const SessionOptions& options() const { return options_; }
   /// The profile of the most recent Query/EvalBgp/ExplainAnalyze call
   /// (valid until the next one; also embedded in each QueryResult).
   const QueryProfile& last_profile() const { return profile_; }
@@ -128,39 +112,12 @@ class Session {
   Result<ResultSet> Run(const ParsedQuery& query, std::string_view text,
                         bool* from_cache);
 
-  const TripleStore& plain_;          // evaluation target under kNone
-  const DeltaHexastore* delta_;       // non-null ⇔ single-store pinning
-  const ShardedHexastore* sharded_ = nullptr;  // non-null ⇔ sharded pinning
+  const TripleStore& store_;
   const Dictionary& dict_;
   SessionOptions options_;
-  QueryProfile profile_;              // reused across queries
+  QueryProfile profile_;  // reused across queries
 };
 
-namespace internal {
-
-/// The solution-modifier pipeline behind both Session and the legacy
-/// ExecuteSparql shim: BGP evaluation (optionally through `cache` with
-/// `stamp`), filters, aggregation, ORDER BY, projection, DISTINCT,
-/// LIMIT. `profile` may be null (legacy unprofiled path: no clocks, no
-/// deadline checks). `from_cache`, when non-null, reports whether the
-/// join order was served by the cache.
-Result<ResultSet> ExecuteSparqlPipeline(const TripleStore& store,
-                                        const Dictionary& dict,
-                                        const ParsedQuery& query,
-                                        QueryProfile* profile,
-                                        PlanCache* cache,
-                                        const PlanCacheStamp& stamp,
-                                        bool* from_cache);
-
-/// BGP evaluation with optional plan-cache ordering; same contract as
-/// the EvalBgp free function otherwise.
-ResultSet EvalBgpMaybeCached(const TripleStore& store,
-                             const Dictionary& dict,
-                             const std::vector<TriplePattern>& patterns,
-                             QueryProfile* profile, PlanCache* cache,
-                             const PlanCacheStamp& stamp, bool* from_cache);
-
-}  // namespace internal
 }  // namespace query
 }  // namespace hexastore
 

@@ -34,31 +34,19 @@ HttpResponse TextResponse(int status, std::string body) {
 
 }  // namespace
 
-Server::Server(DeltaHexastore& store, Dictionary& dict,
-               const ServerOptions& options)
-    : delta_(&store),
-      write_store_(&store),
-      dict_(&dict),
-      options_(options),
-      plan_cache_(PlanCacheOptions{options.plan_cache_capacity,
-                                   options.plan_cache_q_error}) {
-  options_.Normalize();
-  RegisterInstruments(delta_->metrics_registry());
-}
-
 Server::Server(ShardedHexastore& store, Dictionary& dict,
                const ServerOptions& options)
-    : sharded_(&store),
-      write_store_(&store),
+    : store_(&store),
       dict_(&dict),
       options_(options),
       plan_cache_(PlanCacheOptions{options.plan_cache_capacity,
                                    options.plan_cache_q_error}) {
   options_.Normalize();
-  RegisterInstruments(sharded_->metrics_registry());
+  RegisterInstruments();
 }
 
-void Server::RegisterInstruments(obs::MetricsRegistry& registry) {
+void Server::RegisterInstruments() {
+  obs::MetricsRegistry& registry = store_->metrics_registry();
   sink_.RegisterWith(&registry);
   plan_cache_.RegisterWith(&registry);
   registry.RegisterCounter("hexa_server_requests",
@@ -79,13 +67,6 @@ void Server::RegisterInstruments(obs::MetricsRegistry& registry) {
   registry.RegisterHistogram("hexa_server_request_latency_ns",
                              "End-to-end request handling latency",
                              &request_ns_);
-}
-
-Server::Server(DurableDeltaHexastore& store, Dictionary& dict,
-               const ServerOptions& options)
-    : Server(const_cast<DeltaHexastore&>(store.delta()), dict, options) {
-  write_store_ = &store;
-  durable_ = &store;
 }
 
 Server::~Server() { Stop(); }
@@ -110,7 +91,7 @@ Status Server::Start() {
   // Publish the current generation so wait-free read handles see
   // everything loaded before Start() (AcquireReadHandle only sees
   // published state; see the freshness note on the write handlers).
-  PublishGeneration();
+  store_->Publish();
   stop_.store(false, std::memory_order_relaxed);
   started_ = true;
   poller_ = std::thread([this] { PollerLoop(); });
@@ -154,14 +135,6 @@ void Server::Stop() {
   ::close(wake_pipe_[1]);
   wake_pipe_[0] = wake_pipe_[1] = -1;
   started_ = false;
-}
-
-void Server::PublishGeneration() {
-  if (sharded_ != nullptr) {
-    sharded_->GetSnapshot();
-  } else {
-    delta_->GetSnapshot();
-  }
 }
 
 void Server::WakePoller() {
@@ -260,13 +233,7 @@ void Server::WorkerLoop() {
   sopts.sink = &sink_;
   sopts.plan_cache = &plan_cache_;
   sopts.deadline_ns = options_.query_deadline_ms * 1000000ull;
-  std::optional<query::Session> session_slot;
-  if (sharded_ != nullptr) {
-    session_slot.emplace(*sharded_, *dict_, sopts);
-  } else {
-    session_slot.emplace(*delta_, *dict_, sopts);
-  }
-  query::Session& session = *session_slot;
+  query::Session session(*store_, *dict_, sopts);
   while (true) {
     int fd = -1;
     {
@@ -317,29 +284,18 @@ HttpResponse Server::Handle(const HttpRequest& request,
   if (request.path == "/metrics") {
     HttpResponse resp;
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    resp.body =
-        sharded_ != nullptr ? sharded_->MetricsText() : delta_->MetricsText();
+    resp.body = store_->MetricsText();
     return resp;
   }
   if (request.path == "/metrics.json") {
     HttpResponse resp;
     resp.content_type = "application/json";
-    resp.body =
-        sharded_ != nullptr ? sharded_->MetricsJson() : delta_->MetricsJson();
+    resp.body = store_->MetricsJson();
     return resp;
   }
   if (request.path == "/healthz") {
-    if (durable_ != nullptr) {
-      const Status wal = durable_->status();
-      if (!wal.ok()) {
-        return TextResponse(500, wal.ToString() + "\n");
-      }
-    }
-    if (sharded_ != nullptr) {
-      const Status wal = sharded_->status();
-      if (!wal.ok()) {
-        return TextResponse(500, wal.ToString() + "\n");
-      }
+    if (const Status wal = store_->status(); !wal.ok()) {
+      return TextResponse(500, wal.ToString() + "\n");
     }
     HttpResponse resp;
     resp.content_type = "application/sparql-results+json";
@@ -433,7 +389,7 @@ HttpResponse Server::HandleInsert(const HttpRequest& request) {
       std::unique_lock<std::shared_mutex> write_lock(dict_mu_);
       ids = dict_->Encode(triple);
     }
-    if (write_store_->Insert(ids)) {
+    if (store_->Insert(ids)) {
       ++inserted;
     }
   }
@@ -443,7 +399,7 @@ HttpResponse Server::HandleInsert(const HttpRequest& request) {
     // published generations, so the writer pays the (cheap, dirty-
     // gated) publication and keeps reader staleness bounded by one
     // in-flight batch instead of one compaction threshold.
-    PublishGeneration();
+    store_->Publish();
   }
   HttpResponse resp;
   resp.content_type = "application/json";
@@ -467,13 +423,13 @@ HttpResponse Server::HandleErase(const HttpRequest& request) {
       std::shared_lock<std::shared_mutex> read_lock(dict_mu_);
       ids = dict_->TryEncode(triple);
     }
-    if (ids.has_value() && write_store_->Erase(*ids)) {
+    if (ids.has_value() && store_->Erase(*ids)) {
       ++erased;
     }
   }
   erases_total_.Add(erased);
   if (erased > 0) {
-    PublishGeneration();  // publish (see HandleInsert)
+    store_->Publish();  // publish (see HandleInsert)
   }
   HttpResponse resp;
   resp.content_type = "application/json";

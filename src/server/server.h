@@ -1,7 +1,8 @@
-// The concurrent SPARQL HTTP server: a fixed worker pool where every
-// query runs through its own query::Session against one wait-free
-// AcquireReadHandle() generation, fronted by a poller thread that
-// multiplexes keep-alive connections and applies admission control.
+// The concurrent SPARQL HTTP server over one ShardedHexastore: a fixed
+// worker pool where every query runs through its own query::Session
+// against one wait-free pinned generation (per shard), fronted by a
+// poller thread that multiplexes keep-alive connections and applies
+// admission control.
 //
 // Threading model (docs/server.md has the full picture):
 //
@@ -19,8 +20,8 @@
 //  - Each worker thread owns one Session (wait-free pin per query, the
 //    shared PlanCache, the shared ProfileSink, the configured
 //    deadline). A deadline overrun answers 504.
-//  - Writers (/insert, /erase) go through the live store — its own
-//    mutex serializes them — and intern dictionary terms under a writer
+//  - Writers (/insert, /erase) go through the live store — each shard's
+//    own mutex serializes them — and intern dictionary terms under a writer
 //    lock; queries hold the reader side for their whole execution
 //    (including result rendering) because Dictionary is not internally
 //    synchronized.
@@ -46,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -56,29 +56,20 @@
 #include "server/http.h"
 #include "server/store_options.h"
 #include "shard/sharded_hexastore.h"
-#include "wal/durable_store.h"
 
 namespace hexastore {
 
-/// The HTTP front end over one (Durable)DeltaHexastore. Construct,
-/// Start(), eventually Stop(). The store, dictionary and options are
-/// borrowed and must outlive the server; the server registers its
-/// instruments into the store's MetricsRegistry, so destroy the server
-/// only after the registry's last render (in practice: the server
-/// outlives every /metrics request by construction, and embedders stop
-/// rendering before tearing down).
+/// The HTTP front end over one ShardedHexastore (in-memory or durable,
+/// one shard or more). Construct, Start(), eventually Stop(). Writes
+/// route to the owning shard, each query pins one generation per shard,
+/// and the facade's primary registry (shard 0's) serves /metrics. The
+/// store, dictionary and options are borrowed and must outlive the
+/// server; the server registers its instruments into the store's
+/// MetricsRegistry, so destroy the server only after the registry's
+/// last render (in practice: the server outlives every /metrics request
+/// by construction, and embedders stop rendering before tearing down).
 class Server {
  public:
-  /// In-memory backend.
-  Server(DeltaHexastore& store, Dictionary& dict,
-         const ServerOptions& options);
-  /// Durable backend: mutations go through the WAL wrapper, reads pin
-  /// generations of the wrapped store.
-  Server(DurableDeltaHexastore& store, Dictionary& dict,
-         const ServerOptions& options);
-  /// Sharded backend (HEXA_SHARDS > 1): writes route to the owning
-  /// shard, each query pins a ShardedSnapshot, and the facade's primary
-  /// registry (shard 0's) serves /metrics with the hexa_shard_* series.
   Server(ShardedHexastore& store, Dictionary& dict,
          const ServerOptions& options);
   ~Server();
@@ -118,22 +109,10 @@ class Server {
   HttpResponse HandleErase(const HttpRequest& request);
 
   // Registers the hexa_server_* instruments, the sink and the plan
-  // cache with the backend's registry (shared ctor tail).
-  void RegisterInstruments(obs::MetricsRegistry& registry);
-  // Publishes the current generation(s) so wait-free read handles see
-  // everything written so far (see the freshness note on the write
-  // handlers).
-  void PublishGeneration();
+  // cache with the store's registry.
+  void RegisterInstruments();
 
-  // Backend bindings. Exactly one of delta_/sharded_ is non-null and is
-  // the store the read path pins (and whose registry serves /metrics);
-  // write_store_ is the mutation target (the WAL wrapper when durable,
-  // the facade when sharded); durable_ is non-null only for /healthz's
-  // sticky-error check (the sharded facade checks status() itself).
-  const DeltaHexastore* delta_ = nullptr;
-  ShardedHexastore* sharded_ = nullptr;
-  TripleStore* write_store_;
-  DurableDeltaHexastore* durable_ = nullptr;
+  ShardedHexastore* store_;
   Dictionary* dict_;
   ServerOptions options_;
 

@@ -4,12 +4,13 @@
 //
 // Configuration is entirely environment-driven through
 // StoreOptions::FromEnv() — see store_options.h for the full table and
-// docs/server.md for semantics. The optional positional argument bulk-
-// loads an N-Triples file before serving. With HEXA_WAL_DIR set the
-// store is durable (recovers on start, logs every mutation).
+// docs/server.md for semantics. The store is always a ShardedHexastore
+// over HEXA_SHARDS (default 1) shards; with HEXA_WAL_DIR set it is
+// durable (recovers on start, logs every mutation). The optional
+// positional argument bulk-loads an N-Triples file before serving.
 //
-// Runs until SIGINT/SIGTERM, then drains workers and (when durable)
-// flushes the WAL tail.
+// Runs until SIGINT/SIGTERM, then drains workers and flushes the WAL
+// tail (a no-op in memory).
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -17,7 +18,6 @@
 #include <semaphore.h>
 #include <sstream>
 
-#include "query/session.h"
 #include "rdf/ntriples.h"
 #include "server/server.h"
 #include "server/store_options.h"
@@ -29,7 +29,7 @@ sem_t g_shutdown_sem;
 void HandleSignal(int) { sem_post(&g_shutdown_sem); }
 
 // Bulk-load an N-Triples file through the write store.
-bool LoadFile(const char* path, hexastore::TripleStore* store,
+bool LoadFile(const char* path, hexastore::ShardedHexastore* store,
               hexastore::Dictionary* dict) {
   std::ifstream in(path);
   if (!in) {
@@ -72,59 +72,24 @@ int main(int argc, char** argv) {
                  notes.c_str());
   }
 
-  hexastore::Dictionary dict;
-  std::unique_ptr<hexastore::DeltaHexastore> plain;
-  std::unique_ptr<hexastore::DurableDeltaHexastore> durable;
-  std::unique_ptr<hexastore::ShardedHexastore> sharded;
-  if (options.shards > 1) {
-    hexastore::ShardedOptions sopts;
-    sopts.shards = options.shards;
-    sopts.delta = options.delta;
-    sopts.durable = options.durable;
-    sopts.durability = options.durability;
-    auto opened = hexastore::ShardedHexastore::Open(sopts);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "hexastore_server: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    sharded = std::move(opened).value();
-    std::fprintf(stderr, "hexastore_server: %zu shards%s\n", options.shards,
-                 options.durable ? " (durable)" : "");
-  } else if (options.durable) {
-    auto opened = hexastore::DurableDeltaHexastore::Open(options.durability);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "hexastore_server: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    durable = std::move(opened).value();
-    std::fprintf(stderr, "hexastore_server: durable store in %s\n",
-                 options.durability.dir.c_str());
-  } else {
-    plain = std::make_unique<hexastore::DeltaHexastore>(options.delta);
+  auto opened = hexastore::ShardedHexastore::Open(options);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "hexastore_server: %s\n",
+                 opened.status().ToString().c_str());
+    return 1;
   }
-  hexastore::TripleStore* write_store =
-      sharded != nullptr
-          ? static_cast<hexastore::TripleStore*>(sharded.get())
-          : durable != nullptr
-                ? static_cast<hexastore::TripleStore*>(durable.get())
-                : plain.get();
-  if (argc > 1 && !LoadFile(argv[1], write_store, &dict)) {
+  const std::unique_ptr<hexastore::ShardedHexastore> store =
+      std::move(opened).value();
+  std::fprintf(stderr, "hexastore_server: %zu shard(s)%s%s\n",
+               store->shard_count(), options.durable ? ", durable in " : "",
+               options.durable ? options.durability.dir.c_str() : "");
+  hexastore::Dictionary dict;
+  if (argc > 1 && !LoadFile(argv[1], store.get(), &dict)) {
     return 1;
   }
 
-  std::unique_ptr<hexastore::Server> server;
-  if (sharded != nullptr) {
-    server = std::make_unique<hexastore::Server>(*sharded, dict,
-                                                 options.server);
-  } else if (durable != nullptr) {
-    server = std::make_unique<hexastore::Server>(*durable, dict,
-                                                 options.server);
-  } else {
-    server = std::make_unique<hexastore::Server>(*plain, dict,
-                                                 options.server);
-  }
+  auto server =
+      std::make_unique<hexastore::Server>(*store, dict, options.server);
   hexastore::Status started = server->Start();
   if (!started.ok()) {
     std::fprintf(stderr, "hexastore_server: %s\n",
@@ -146,14 +111,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "hexastore_server: shutting down\n");
   server->Stop();
-  if (durable != nullptr || (sharded != nullptr && sharded->durable())) {
-    hexastore::Status flushed =
-        durable != nullptr ? durable->Flush() : sharded->Flush();
-    if (!flushed.ok()) {
-      std::fprintf(stderr, "hexastore_server: flush: %s\n",
-                   flushed.ToString().c_str());
-      return 1;
-    }
+  if (hexastore::Status flushed = store->Flush(); !flushed.ok()) {
+    std::fprintf(stderr, "hexastore_server: flush: %s\n",
+                 flushed.ToString().c_str());
+    return 1;
   }
   return 0;
 }

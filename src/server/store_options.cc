@@ -130,17 +130,11 @@ std::string ServerOptions::Normalize() {
 
 std::string StoreOptions::Normalize() {
   std::string notes;
-  std::string note = delta.Normalize();
-  if (!note.empty()) {
-    Note(&notes, note);
-  }
-  note = server.Normalize();
-  if (!note.empty()) {
-    Note(&notes, note);
-  }
-  if (shards == 0) {
-    shards = 1;
-    Note(&notes, "store: shards=0 clamped to 1");
+  for (const std::string& note :
+       {ShardedOptions::Normalize(), server.Normalize()}) {
+    if (!note.empty()) {
+      Note(&notes, note);
+    }
   }
   return notes;
 }
@@ -148,47 +142,27 @@ std::string StoreOptions::Normalize() {
 StoreOptions StoreOptions::FromEnv(std::string* notes) {
   StoreOptions opts;
 
-  // Store-shape knobs feed both the plain and the durable configuration
-  // (DurableDeltaHexastore forwards its copies to the inner store).
-  std::size_t compact_threshold = opts.delta.compact_threshold;
-  bool bg_compaction = opts.delta.background_compaction;
-  std::size_t l0_run_limit = opts.delta.l0_run_limit;
-  double l1_fraction = opts.delta.l1_base_fraction;
-  std::size_t mem_budget = opts.delta.memory_budget_bytes;
-  std::size_t filter_bits = opts.delta.filter_bits_per_key;
-  if (!EnvSize("HEXA_COMPACT_THRESHOLD", &compact_threshold)) {
+  if (!EnvSize("HEXA_COMPACT_THRESHOLD", &opts.delta.compact_threshold)) {
     Note(notes, "HEXA_COMPACT_THRESHOLD unparsable; keeping default");
   }
-  if (!EnvBool("HEXA_BG_COMPACTION", &bg_compaction)) {
+  if (!EnvBool("HEXA_BG_COMPACTION", &opts.delta.background_compaction)) {
     Note(notes, "HEXA_BG_COMPACTION unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_L0_RUN_LIMIT", &l0_run_limit)) {
+  if (!EnvSize("HEXA_L0_RUN_LIMIT", &opts.delta.l0_run_limit)) {
     Note(notes, "HEXA_L0_RUN_LIMIT unparsable; keeping default");
   }
-  if (!EnvDouble("HEXA_L1_BASE_FRACTION", &l1_fraction)) {
+  if (!EnvDouble("HEXA_L1_BASE_FRACTION", &opts.delta.l1_base_fraction)) {
     Note(notes, "HEXA_L1_BASE_FRACTION unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_MEM_BUDGET", &mem_budget)) {
+  if (!EnvSize("HEXA_MEM_BUDGET", &opts.delta.memory_budget_bytes)) {
     Note(notes, "HEXA_MEM_BUDGET unparsable; keeping default");
   }
-  if (!EnvSize("HEXA_FILTER_BITS", &filter_bits)) {
+  if (!EnvSize("HEXA_FILTER_BITS", &opts.delta.filter_bits_per_key)) {
     Note(notes, "HEXA_FILTER_BITS unparsable; keeping default");
   }
   if (!EnvSize("HEXA_SHARDS", &opts.shards)) {
     Note(notes, "HEXA_SHARDS unparsable; keeping default");
   }
-  opts.delta.compact_threshold = compact_threshold;
-  opts.delta.background_compaction = bg_compaction;
-  opts.delta.l0_run_limit = l0_run_limit;
-  opts.delta.l1_base_fraction = l1_fraction;
-  opts.delta.memory_budget_bytes = mem_budget;
-  opts.delta.filter_bits_per_key = filter_bits;
-  opts.durability.compact_threshold = compact_threshold;
-  opts.durability.background_compaction = bg_compaction;
-  opts.durability.l0_run_limit = l0_run_limit;
-  opts.durability.l1_base_fraction = l1_fraction;
-  opts.durability.memory_budget_bytes = mem_budget;
-  opts.durability.filter_bits_per_key = filter_bits;
 
   // Durability.
   EnvString("HEXA_WAL_DIR", &opts.durability.dir);
@@ -249,6 +223,9 @@ StoreOptions StoreOptions::FromEnv(std::string* notes) {
   if (!repaired.empty()) {
     Note(notes, repaired);
   }
+  // `durability` alone is then a complete durable-store configuration
+  // (DurableDeltaHexastore::Open); the facade sets each shard's own.
+  opts.durability.delta = opts.delta;
   return opts;
 }
 

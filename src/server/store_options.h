@@ -1,23 +1,24 @@
 // One place for every HEXA_* runtime knob.
 //
-// StoreOptions bundles the three option structs a full deployment
-// composes — DeltaOptions (in-memory store), DurabilityOptions (WAL
-// wrapper), ServerOptions (HTTP front end) — and FromEnv() is the single
-// documented reader of the environment, extending the PR-6 Normalize()
-// validation pattern: invalid values never abort, they are repaired in
-// place and the repair is reported so operators see exactly what the
-// process actually runs with.
+// StoreOptions is what a deployment configures: the ShardedOptions of
+// the one store hexastore_server serves (a ShardedHexastore facade over
+// `shards` >= 1 DeltaHexastores, durable in durability.dir when
+// HEXA_WAL_DIR is set) plus the ServerOptions of the HTTP front end.
+// FromEnv() is the single documented reader of the environment,
+// extending the Normalize() validation pattern: invalid values never
+// abort, they are repaired in place and the repair is reported so
+// operators see exactly what the process actually runs with.
 //
 // Environment variables (unset keeps the compiled default):
 //
 //   store                                  field
-//   HEXA_COMPACT_THRESHOLD    <ops>        delta/durability.compact_threshold
-//   HEXA_BG_COMPACTION        0|1          .background_compaction
-//   HEXA_L0_RUN_LIMIT         <runs>       .l0_run_limit
-//   HEXA_L1_BASE_FRACTION     <float>      .l1_base_fraction
-//   HEXA_MEM_BUDGET           <bytes>      .memory_budget_bytes
-//   HEXA_FILTER_BITS          <bits>       .filter_bits_per_key
-//   HEXA_SHARDS               <n>          shards (>1 = ShardedHexastore)
+//   HEXA_COMPACT_THRESHOLD    <ops>        delta.compact_threshold
+//   HEXA_BG_COMPACTION        0|1          delta.background_compaction
+//   HEXA_L0_RUN_LIMIT         <runs>       delta.l0_run_limit
+//   HEXA_L1_BASE_FRACTION     <float>      delta.l1_base_fraction
+//   HEXA_MEM_BUDGET           <bytes>      delta.memory_budget_bytes
+//   HEXA_FILTER_BITS          <bits>       delta.filter_bits_per_key
+//   HEXA_SHARDS               <n>          shards (>= 1; 0 is repaired)
 //
 //   durability (HEXA_WAL_DIR set => durable = true)
 //   HEXA_WAL_DIR              <path>       durability.dir
@@ -45,8 +46,7 @@
 #include <cstdint>
 #include <string>
 
-#include "delta/delta_hexastore.h"
-#include "wal/durable_store.h"
+#include "shard/sharded_hexastore.h"
 
 namespace hexastore {
 
@@ -79,18 +79,9 @@ struct ServerOptions {
   std::string Normalize();
 };
 
-/// Everything a deployment configures, in one struct.
-struct StoreOptions {
-  DeltaOptions delta;
-  DurabilityOptions durability;
-  /// True: open a DurableDeltaHexastore in durability.dir. False: plain
-  /// in-memory DeltaHexastore (durability ignored).
-  bool durable = false;
-  /// Shards behind the store. 1 = a single (Durable)DeltaHexastore as
-  /// before; >1 = a ShardedHexastore facade partitioning by subject
-  /// hash, with per-shard WAL directories under durability.dir when
-  /// durable (docs/sharding.md). 0 is repaired to 1.
-  std::size_t shards = 1;
+/// Everything a deployment configures, in one struct: the served
+/// store's ShardedOptions (one shard by default) plus the server's.
+struct StoreOptions : ShardedOptions {
   ServerOptions server;
 
   /// Reads every variable in the table above, then Normalize()s. Repair
@@ -98,9 +89,9 @@ struct StoreOptions {
   /// appended to `notes` one per line when non-null.
   static StoreOptions FromEnv(std::string* notes = nullptr);
 
-  /// Normalizes all three option sets (delta + server here; durability
-  /// is normalized by DurableDeltaHexastore::Open as before). Returns
-  /// the accumulated repair notes, one per line, "" when clean.
+  /// Normalizes the store and server options (durability is normalized
+  /// when the store opens). Returns the accumulated repair notes, one
+  /// per line, "" when clean.
   std::string Normalize();
 };
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "wal/file_util.h"
+#include "wal/manifest.h"
 
 namespace hexastore {
 
@@ -32,18 +33,33 @@ Status WriteShardsManifest(const std::string& root, std::size_t shards) {
                          "shards " + std::to_string(shards) + "\n");
 }
 
-// Reads the SHARDS manifest; NotFound when the root has none yet.
-Result<std::size_t> ReadShardsManifest(const std::string& root) {
+// The shard count a durable root was written with: its SHARDS manifest,
+// else 1 for a root holding a single store's MANIFEST (the 1-shard
+// layout, and every directory a single-store server wrote), else
+// NotFound for a fresh root.
+Result<std::size_t> RecordedShardCount(const std::string& root) {
   const std::string path =
       (fs::path(root) / kShardsManifestName).string();
   std::string contents;
   if (Status s = ReadFileToString(path, &contents); !s.ok()) {
+    std::error_code ec;
+    if (s.code() == StatusCode::kNotFound &&
+        fs::exists(fs::path(root) / kManifestFileName, ec)) {
+      return std::size_t{1};
+    }
     return s;
   }
   std::size_t count = 0;
   if (std::sscanf(contents.c_str(), "shards %zu", &count) != 1 ||
       count == 0) {
     return Status::ParseError("SHARDS manifest unparsable (" + path + ")");
+  }
+  if (count == 1) {
+    // Only the earlier 1-shard layout wrote "shards 1", with its data in
+    // shard-000/; opening the root instead would start empty.
+    return Status::InvalidArgument(
+        path + " records 1 shard in shard-000/; move shard-000/'s files to "
+        "the root, then delete SHARDS");
   }
   return count;
 }
@@ -69,19 +85,29 @@ MergedList OwnedMergedList(IdVec ids) {
   return MergedList(nullptr, nullptr, std::move(owned), nullptr, nullptr);
 }
 
+// One shard's delta configuration: the facade's, with an equal slice of
+// the total memory budget.
+DeltaOptions ShardDeltaOptions(const ShardedOptions& opts) {
+  DeltaOptions per_shard = opts.delta;
+  if (per_shard.memory_budget_bytes > 0) {
+    per_shard.memory_budget_bytes = std::max<std::size_t>(
+        1, per_shard.memory_budget_bytes / opts.shards);
+  }
+  return per_shard;
+}
+
 }  // namespace
 
 std::string ShardedOptions::Normalize() {
-  std::string first;
+  std::string notes;
   if (shards == 0) {
     shards = 1;
-    first = "shard: shards=0 clamped to 1";
+    notes = "shard: shards=0 clamped to 1";
   }
-  std::string note = delta.Normalize();
-  if (first.empty()) {
-    first = note;
+  if (std::string note = delta.Normalize(); !note.empty()) {
+    notes += (notes.empty() ? "" : "\n") + note;
   }
-  return first;
+  return notes;
 }
 
 std::size_t ShardedHexastore::ShardOf(Id s, std::size_t n) {
@@ -102,11 +128,7 @@ std::size_t ShardedHexastore::ShardOf(Id s, std::size_t n) {
 ShardedHexastore::ShardedHexastore(const ShardedOptions& options) {
   ShardedOptions opts = options;
   opts.Normalize();
-  DeltaOptions per_shard = opts.delta;
-  if (per_shard.memory_budget_bytes > 0) {
-    per_shard.memory_budget_bytes = std::max<std::size_t>(
-        1, per_shard.memory_budget_bytes / opts.shards);
-  }
+  const DeltaOptions per_shard = ShardDeltaOptions(opts);
   plains_.reserve(opts.shards);
   for (std::size_t i = 0; i < opts.shards; ++i) {
     plains_.push_back(std::make_unique<DeltaHexastore>(per_shard));
@@ -130,42 +152,42 @@ Result<std::unique_ptr<ShardedHexastore>> ShardedHexastore::Open(
   if (Status s = EnsureDirectory(opts.durability.dir); !s.ok()) {
     return s;
   }
-  // Shard-count manifest: the routing function is baked into the
-  // on-disk layout, so a different count on reopen would misroute every
-  // bound-subject read and erase. Reject it as a config error.
-  auto recorded = ReadShardsManifest(opts.durability.dir);
+  // Shard-count record: the routing function is baked into the on-disk
+  // layout, so a different count on reopen would misroute every
+  // bound-subject read and erase. Reject it as a config error. One shard
+  // records itself through the MANIFEST its store writes at the root.
+  auto recorded = RecordedShardCount(opts.durability.dir);
   if (recorded.ok()) {
     if (recorded.value() != opts.shards) {
       return Status::InvalidArgument(
-          "shard count mismatch: SHARDS manifest in " +
-          opts.durability.dir + " records " +
+          "shard count mismatch: " + opts.durability.dir + " records " +
           std::to_string(recorded.value()) + " shards, options request " +
           std::to_string(opts.shards) +
           " (reopen with the recorded count)");
     }
-  } else if (recorded.status().code() == StatusCode::kNotFound) {
+  } else if (recorded.status().code() != StatusCode::kNotFound) {
+    return recorded.status();
+  } else if (opts.shards > 1) {
     if (Status s = WriteShardsManifest(opts.durability.dir, opts.shards);
         !s.ok()) {
       return s;
     }
-  } else {
-    return recorded.status();
   }
 
   std::unique_ptr<ShardedHexastore> store(new ShardedHexastore());
-  if (opts.durability.mode == DurabilityMode::kBatched) {
+  // A group of one would only add locking to every commit.
+  if (opts.durability.mode == DurabilityMode::kBatched && opts.shards > 1) {
     store->commit_group_ =
         std::make_unique<WalCommitGroup>(opts.durability.batch_bytes);
   }
   DurabilityOptions per_shard = opts.durability;
+  per_shard.delta = ShardDeltaOptions(opts);
   per_shard.commit_group = store->commit_group_.get();
-  if (per_shard.memory_budget_bytes > 0) {
-    per_shard.memory_budget_bytes = std::max<std::size_t>(
-        1, per_shard.memory_budget_bytes / opts.shards);
-  }
   for (std::size_t i = 0; i < opts.shards; ++i) {
-    per_shard.dir =
-        (fs::path(opts.durability.dir) / ShardDirName(i)).string();
+    if (opts.shards > 1) {
+      per_shard.dir =
+          (fs::path(opts.durability.dir) / ShardDirName(i)).string();
+    }
     auto opened = DurableDeltaHexastore::Open(per_shard);
     if (!opened.ok()) {
       return Status(opened.status().code(),
@@ -292,6 +314,10 @@ std::uint64_t ShardedHexastore::EstimateMatches(
 }
 
 void ShardedHexastore::BulkLoad(const IdTripleVec& triples) {
+  if (writers_.size() == 1) {
+    writers_[0]->BulkLoad(triples);
+    return;
+  }
   std::vector<IdTripleVec> parts(shards_.size());
   for (const IdTriple& t : triples) {
     parts[Route(t.s)].push_back(t);
@@ -366,6 +392,22 @@ ShardedSnapshot ShardedHexastore::AcquireReadHandle() const {
     snaps.push_back(shard->AcquireReadHandle());
   }
   return ShardedSnapshot(std::move(snaps));
+}
+
+void ShardedHexastore::Publish() const {
+  for (const DeltaHexastore* shard : shards_) {
+    shard->GetSnapshot();
+  }
+}
+
+bool ShardedHexastore::Pin(PinPolicy policy, const PinnedFn& fn) const {
+  if (policy == PinPolicy::kNone) {
+    return TripleStore::Pin(policy, fn);
+  }
+  const ShardedSnapshot snap =
+      policy == PinPolicy::kLinearizable ? GetSnapshot() : AcquireReadHandle();
+  fn(snap, snap.StampVector());
+  return true;
 }
 
 // -- Merged accessor views ------------------------------------------------

@@ -10,6 +10,10 @@
 // mode (one leader syncs every member once the group's unsynced bytes
 // cross the batch threshold).
 //
+// One shard is the single store: its WAL lives in the root itself (the
+// single-store layout), no commit group is built and bulk loads pass
+// straight through — hexastore_server always serves this facade.
+//
 // Read path: scatter-gather. A pattern with a bound subject routes to
 // one shard; anything else fans out across all shards and merges. The
 // merged accessor views (objects/predicates/subjects and the six header
@@ -57,18 +61,19 @@ namespace hexastore {
 /// Construction-time configuration of a ShardedHexastore.
 struct ShardedOptions {
   /// Number of independent shards. Clamped to >= 1.
-  std::size_t shards = 4;
-  /// Per-shard delta configuration (in-memory mode). The memory budget
+  std::size_t shards = 1;
+  /// Every shard's delta configuration, in both modes. The memory budget
   /// is the TOTAL across shards; each shard gets an equal slice.
   DeltaOptions delta;
-  /// True: every shard is a DurableDeltaHexastore under
-  /// `durability.dir/shard-NNN/`; `delta` is ignored (DurabilityOptions
-  /// carries the same knobs). False: plain in-memory shards.
+  /// True: every shard is a DurableDeltaHexastore configured by
+  /// `durability` (the facade fills in each shard's `dir`, `delta` and
+  /// `commit_group`). False: plain in-memory shards.
   bool durable = false;
   DurabilityOptions durability;
 
   /// Clamps fields to their documented domains in place; returns "" or
-  /// a description of the first repair (DeltaOptions convention).
+  /// the repairs made, one per line (the shard count's, then
+  /// `delta`'s).
   std::string Normalize();
 };
 
@@ -134,10 +139,13 @@ class ShardedHexastore : public TripleStore {
 
   /// Opens (creating or recovering) the facade. Durable mode opens one
   /// DurableDeltaHexastore per shard under `durability.dir/shard-NNN/`
-  /// and records the shard count in a `SHARDS` manifest at the root;
-  /// reopening with a different count fails with InvalidArgument (the
-  /// partition function would misroute every triple, so this is a
-  /// config error, never silent corruption).
+  /// and records the shard count in a `SHARDS` manifest at the root. A
+  /// single shard keeps the single-store layout instead: its WAL and
+  /// MANIFEST sit in the root and no SHARDS file is written, so a root
+  /// MANIFEST without SHARDS records one shard. Reopening with a
+  /// different count fails with InvalidArgument (the partition function
+  /// would misroute every triple, so this is a config error, never
+  /// silent corruption).
   static Result<std::unique_ptr<ShardedHexastore>> Open(
       const ShardedOptions& options);
 
@@ -160,8 +168,11 @@ class ShardedHexastore : public TripleStore {
   std::size_t MemoryBytes() const override;
   std::string name() const override { return "ShardedHexastore"; }
   std::uint64_t EstimateMatches(const IdPattern& pattern) const override;
-  /// Partitions by subject and bulk-loads every shard.
+  /// Partitions by subject and bulk-loads every shard (one shard takes
+  /// `triples` as they are).
   void BulkLoad(const IdTripleVec& triples) override;
+  /// Pins a ShardedSnapshot stamped with its StampVector.
+  bool Pin(PinPolicy policy, const PinnedFn& fn) const override;
 
   /// Pattern erase. Bound subject routes to one shard; the all-wildcard
   /// pattern clears every shard; every other shape fans out and SUMS the
@@ -185,6 +196,9 @@ class ShardedHexastore : public TripleStore {
   ShardedSnapshot GetSnapshot() const;
   /// Wait-free: AcquireReadHandle() on each shard in shard order.
   ShardedSnapshot AcquireReadHandle() const;
+  /// Publishes every shard's current generation (GetSnapshot without
+  /// keeping the handles), so wait-free reads see every write so far.
+  void Publish() const;
 
   // -- Merged accessor views (scatter-gather; see ShardedSnapshot) --------
 
@@ -208,7 +222,6 @@ class ShardedHexastore : public TripleStore {
   DurableDeltaHexastore* durable_shard(std::size_t i) const {
     return durables_.empty() ? nullptr : durables_[i].get();
   }
-  bool durable() const { return !durables_.empty(); }
 
   // -- Durability management (durable mode; no-ops / OK otherwise) --------
 
@@ -255,8 +268,9 @@ class ShardedHexastore : public TripleStore {
   template <typename Fn>
   IdVec GatherUnion(Fn&& per_shard) const;
 
-  // Cross-shard group-commit coordinator (durable kBatched mode).
-  // Declared before the shards so it outlives their WalWriters.
+  // Cross-shard group-commit coordinator (durable kBatched mode, more
+  // than one shard). Declared before the shards so it outlives their
+  // WalWriters.
   std::unique_ptr<WalCommitGroup> commit_group_;
 
   // Durable wrappers (empty in in-memory mode) and the plain stores

@@ -63,32 +63,16 @@ struct DurabilityOptions {
   /// missing.
   std::string dir;
   DurabilityMode mode = DurabilityMode::kBatched;
-  /// Staged ops that trigger compaction — and with it a checkpoint.
-  std::size_t compact_threshold = DeltaHexastore::kDefaultCompactThreshold;
+  /// The inner store's configuration. Checkpoints ride its merge
+  /// cadence: every drain, fold or base merge triggers one, and recovery
+  /// replays the log into the same configuration, so the WAL stays
+  /// bounded by roughly one compaction threshold of records whatever
+  /// the leveling.
+  DeltaOptions delta;
   /// WAL segment rotation size.
   std::size_t segment_bytes = 4u << 20;
   /// kBatched: unsynced bytes that trigger an fsync.
   std::size_t batch_bytes = 256u << 10;
-  /// Merge the inner store's sealed deltas on its compactor thread
-  /// instead of draining on the writer thread (see DeltaOptions).
-  bool background_compaction = false;
-  /// Leveled deltas in the inner store (see DeltaOptions::l0_run_limit):
-  /// sealed buffers accumulate as L0 runs, fold into L1, and only
-  /// L1→base merges rebuild the indexes. Checkpoints keep riding the
-  /// merge cadence (every fold or base merge triggers one), and
-  /// recovery replays the log into the same leveled configuration, so
-  /// the WAL stays bounded by roughly one compaction threshold of
-  /// records regardless of leveling. 0 = flat (the default).
-  std::size_t l0_run_limit = 0;
-  /// Leveled deltas: L1→base merge trigger as a fraction of the base
-  /// size (see DeltaOptions::l1_base_fraction).
-  double l1_base_fraction = 0.25;
-  /// Hard delta-memory budget of the inner store (see
-  /// DeltaOptions::memory_budget_bytes). 0 = unlimited.
-  std::size_t memory_budget_bytes = 0;
-  /// Prefix-filter sizing of the inner store's sealed runs (see
-  /// DeltaOptions::filter_bits_per_key). 0 disables filters.
-  std::size_t filter_bits_per_key = 10;
   /// Run compaction-triggered checkpoints on a dedicated thread instead
   /// of inline on the committing writer. (Even inline, only segment
   /// rotation happens under the store lock; the snapshot itself is
@@ -186,9 +170,14 @@ class DurableDeltaHexastore : public TripleStore {
     return store_.AcquireReadHandle();
   }
 
+  /// Pins the inner store (DeltaHexastore::Pin); reads never touch the
+  /// log.
+  bool Pin(PinPolicy policy, const PinnedFn& fn) const override {
+    return store_.Pin(policy, fn);
+  }
+
   /// The wrapped in-memory store. Read-only: mutating through it would
-  /// bypass the WAL (hence const). query::Session binds to this when the
-  /// server runs durable.
+  /// bypass the WAL (hence const).
   const DeltaHexastore& delta() const { return store_; }
 
   const RecoveryInfo& recovery_info() const { return recovery_; }
@@ -225,13 +214,7 @@ class DurableDeltaHexastore : public TripleStore {
 
  private:
   explicit DurableDeltaHexastore(const DurabilityOptions& options)
-      : options_(options),
-        store_(DeltaOptions{options.compact_threshold,
-                            options.background_compaction,
-                            options.l0_run_limit,
-                            options.l1_base_fraction,
-                            options.memory_budget_bytes,
-                            options.filter_bits_per_key}) {
+      : options_(options), store_(options.delta) {
     RegisterWalMeters();
   }
 

@@ -121,7 +121,7 @@ TEST(DeltaChurnTest, RandomizedInsertEraseClearAgreesWithOracle) {
   Rng rng(0xC0FFEE);
   // Threshold far below ops-per-batch: every batch straddles several
   // compactions, so the oracle checks hit mid-compaction states.
-  DeltaHexastore store(/*compact_threshold=*/32);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 32});
   std::set<IdTriple> oracle;
 
   constexpr Id kUniverse = 12;
@@ -157,7 +157,7 @@ TEST(DeltaChurnTest, RandomizedInsertEraseClearAgreesWithOracle) {
 
 TEST(DeltaChurnTest, ContainsMatchesOracleThroughoutChurn) {
   Rng rng(42);
-  DeltaHexastore store(/*compact_threshold=*/16);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 16});
   std::set<IdTriple> oracle;
 
   constexpr Id kUniverse = 6;
@@ -188,7 +188,7 @@ TEST(DeltaChurnTest, ContainsMatchesOracleThroughoutChurn) {
 TEST(DeltaChurnTest, ErasePatternAgreesWithOracle) {
   Rng rng(0xEA5E);
   // Tiny threshold: pattern tombstones repeatedly cross compactions.
-  DeltaHexastore store(/*compact_threshold=*/24);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 24});
   std::set<IdTriple> oracle;
 
   constexpr Id kUniverse = 10;
@@ -249,7 +249,7 @@ TEST(DeltaChurnTest, ErasePatternMergedViewsAgreeMidDelta) {
   // Pin the merged accessor views (lists + header vectors) against a
   // brute-force oracle while pattern tombstones are live (no compaction).
   Rng rng(0x9A77E12);
-  DeltaHexastore store(/*compact_threshold=*/1u << 20);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1u << 20});
   std::set<IdTriple> oracle;
   constexpr Id kUniverse = 6;
   for (int i = 0; i < 150; ++i) {
@@ -322,7 +322,7 @@ TEST(DeltaChurnTest, ErasePatternMergedViewsAgreeMidDelta) {
 
 TEST(DeltaChurnTest, SnapshotStaysStableWhileChurnContinues) {
   Rng rng(0x5a5a);
-  DeltaHexastore store(/*compact_threshold=*/24);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 24});
   std::set<IdTriple> oracle;
   for (int i = 0; i < 100; ++i) {
     IdTriple t = RandomTriple(rng, 10);

@@ -102,7 +102,7 @@ TEST(ConcurrencyTest, ParallelWorkloadQueriesAgree) {
 // generation swaps happen underneath it.
 TEST(ConcurrencyTest, SnapshotReadersSurviveWriterCompactions) {
   // Small threshold: the writer triggers hundreds of compactions.
-  DeltaHexastore store(/*compact_threshold=*/64);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 64});
   constexpr int kWriterOps = 20000;
   constexpr int kReaders = 4;
 
@@ -171,7 +171,7 @@ TEST(ConcurrencyTest, SnapshotReadersSurviveWriterCompactions) {
 // Merged accessor views taken by readers must keep answering from the
 // generation they pinned while the writer compacts underneath.
 TEST(ConcurrencyTest, MergedViewsPinTheirGeneration) {
-  DeltaHexastore store(/*compact_threshold=*/32);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 32});
   constexpr Id kS = 1;
   constexpr Id kP = 2;
   std::atomic<bool> done{false};

@@ -113,7 +113,7 @@ TEST_F(CrashRecoveryTest, CleanReopenRecoversEverything) {
   DurabilityOptions options;
   options.dir = Dir("store");
   options.mode = DurabilityMode::kBatched;
-  options.compact_threshold = 1u << 20;  // no checkpoint: pure replay
+  options.delta.compact_threshold = 1u << 20;  // no checkpoint: pure replay
 
   DeltaHexastore oracle;
   {
@@ -145,7 +145,7 @@ TEST_F(CrashRecoveryTest, CheckpointTruncatesLogAndBoundsReplay) {
   DurabilityOptions options;
   options.dir = Dir("store");
   options.mode = DurabilityMode::kNone;
-  options.compact_threshold = 64;  // frequent compaction => checkpoints
+  options.delta.compact_threshold = 64;  // frequent compaction => checkpoints
 
   std::string expected;
   {
@@ -193,7 +193,7 @@ TEST_F(CrashRecoveryTest, TruncationAtAnyOffsetRecoversCommittedPrefix) {
   DurabilityOptions options;
   options.dir = Dir("golden");
   options.mode = DurabilityMode::kNone;  // simulated crash: file truncation
-  options.compact_threshold = 1u << 20;
+  options.delta.compact_threshold = 1u << 20;
   {
     auto opened = DurableDeltaHexastore::Open(options);
     ASSERT_TRUE(opened.ok());
@@ -286,7 +286,7 @@ TEST_F(CrashRecoveryTest, RecoveredStoreStaysWritableAndReopenable) {
   DurabilityOptions options;
   options.dir = Dir("store");
   options.mode = DurabilityMode::kNone;
-  options.compact_threshold = 1u << 20;
+  options.delta.compact_threshold = 1u << 20;
   {
     auto opened = DurableDeltaHexastore::Open(options);
     ASSERT_TRUE(opened.ok());
@@ -326,7 +326,7 @@ TEST_F(CrashRecoveryTest, RandomCorruptionYieldsPrefixOrCleanError) {
   DurabilityOptions options;
   options.dir = Dir("golden");
   options.mode = DurabilityMode::kNone;
-  options.compact_threshold = 1u << 20;
+  options.delta.compact_threshold = 1u << 20;
   {
     auto opened = DurableDeltaHexastore::Open(options);
     ASSERT_TRUE(opened.ok());
@@ -414,7 +414,8 @@ TEST_F(CrashRecoveryTest, CorruptionInOlderSegmentFailsOpen) {
   DurabilityOptions options;
   options.dir = Dir("store");
   options.mode = DurabilityMode::kNone;
-  options.compact_threshold = 1u << 20;  // no checkpoint: segments pile up
+  // No checkpoint: segments pile up.
+  options.delta.compact_threshold = 1u << 20;
   options.segment_bytes = 128;           // force several rotations
   {
     auto opened = DurableDeltaHexastore::Open(options);
@@ -485,7 +486,7 @@ TEST_F(CrashRecoveryTest, ShardedCleanReopenRecoversEverything) {
   options.durable = true;
   options.durability.dir = Dir("sharded");
   options.durability.mode = DurabilityMode::kBatched;
-  options.durability.compact_threshold = 1u << 20;  // pure replay
+  options.delta.compact_threshold = 1u << 20;  // pure replay
 
   std::string expected;
   {
@@ -524,7 +525,7 @@ TEST_F(CrashRecoveryTest, ShardedRandomCrashPointsRecoverPerShardPrefixes) {
   options.durable = true;
   options.durability.dir = Dir("sharded_golden");
   options.durability.mode = DurabilityMode::kNone;  // crash = truncation
-  options.durability.compact_threshold = 1u << 20;
+  options.delta.compact_threshold = 1u << 20;
   {
     auto opened = ShardedHexastore::Open(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -643,6 +644,99 @@ TEST_F(CrashRecoveryTest, ShardCountChangeRejectedWithClearError) {
   EXPECT_NE(rejected.status().message().find("2"), std::string::npos);
 
   // The rejection was clean: the recorded count still opens, data intact.
+  auto reopened = ShardedHexastore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(ContentsBytes(*reopened.value()), expected);
+}
+
+// Writes a directory the way a single durable store does — MANIFEST and
+// segments at the root, no SHARDS file — and returns its contents.
+std::string WriteSingleStoreDir(const std::string& dir) {
+  DurabilityOptions single;
+  single.dir = dir;
+  auto opened = DurableDeltaHexastore::Open(single);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  if (!opened.ok()) {
+    return "";
+  }
+  for (Id i = 1; i <= 200; ++i) {
+    opened.value()->Insert(IdTriple{i, 1 + i % 7, 1 + i % 13});
+  }
+  for (Id i = 1; i <= 200; i += 4) {
+    opened.value()->Erase(IdTriple{i, 1 + i % 7, 1 + i % 13});
+  }
+  EXPECT_TRUE(opened.value()->Flush().ok());
+  EXPECT_EQ(opened.value()->size(), 150u);
+  return ContentsBytes(*opened.value());
+}
+
+// Such a directory is the 1-shard layout: the facade reopens it at one
+// shard with every acknowledged triple and leaves the layout as it was.
+TEST_F(CrashRecoveryTest, SingleStoreDirReopensAtOneShard) {
+  ShardedOptions options;
+  options.shards = 1;
+  options.durable = true;
+  options.durability.dir = Dir("single");
+  const std::string expected = WriteSingleStoreDir(options.durability.dir);
+
+  auto reopened = ShardedHexastore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(ContentsBytes(*reopened.value()), expected);
+  const DurableDeltaHexastore* shard = reopened.value()->durable_shard(0);
+  EXPECT_GT(shard->recovery_info().replayed_records, 0u);
+  EXPECT_FALSE(fs::exists(fs::path(options.durability.dir) / "SHARDS"));
+  EXPECT_FALSE(fs::exists(fs::path(options.durability.dir) / "shard-000"));
+}
+
+// At any other count it is a shard count mismatch, not a fresh root:
+// opening empty shards beside it would hide every acknowledged write.
+TEST_F(CrashRecoveryTest, SingleStoreDirRejectedAtFourShards) {
+  ShardedOptions options;
+  options.shards = 4;
+  options.durable = true;
+  options.durability.dir = Dir("single");
+  const std::string expected = WriteSingleStoreDir(options.durability.dir);
+
+  auto rejected = ShardedHexastore::Open(options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("shard count mismatch"),
+            std::string::npos)
+      << rejected.status().ToString();
+
+  // The rejection was clean: one shard still opens it, data intact.
+  options.shards = 1;
+  auto reopened = ShardedHexastore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(ContentsBytes(*reopened.value()), expected);
+}
+
+// The earlier 1-shard layout (SHARDS "shards 1", data in shard-000/) is
+// refused rather than opened as an empty root, and the recovery its
+// error names (move shard-000/'s files to the root, then delete SHARDS)
+// reopens it with every triple.
+TEST_F(CrashRecoveryTest, EarlierOneShardLayoutRejected) {
+  ShardedOptions options;
+  options.durable = true;
+  options.durability.dir = Dir("earlier");
+  const fs::path root(options.durability.dir);
+  const fs::path shard_dir(ShardDir(options.durability.dir, 0));
+  const std::string expected = WriteSingleStoreDir(shard_dir.string());
+  ASSERT_TRUE(AtomicWriteFile((root / "SHARDS").string(), "shards 1\n").ok());
+  auto rejected = ShardedHexastore::Open(options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("delete SHARDS"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_FALSE(fs::exists(root / "MANIFEST"));
+
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(shard_dir)) {
+    fs::rename(entry.path(), root / entry.path().filename());
+  }
+  fs::remove(shard_dir);
+  fs::remove(root / "SHARDS");
   auto reopened = ShardedHexastore::Open(options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(ContentsBytes(*reopened.value()), expected);

@@ -16,7 +16,6 @@
 #include "core/hexastore.h"
 #include "delta/delta_hexastore.h"
 #include "io/snapshot.h"
-#include "query/merge_join.h"
 #include "rdf/term.h"
 #include "util/rng.h"
 
@@ -41,7 +40,7 @@ TEST(DeltaHexastoreTest, InsertEraseContainsMirrorTripleStoreContract) {
 }
 
 TEST(DeltaHexastoreTest, WritesStageInDeltaUntilThreshold) {
-  DeltaHexastore store(/*compact_threshold=*/8);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 8});
   for (Id i = 1; i <= 7; ++i) {
     store.Insert({i, 1, 1});
   }
@@ -56,7 +55,7 @@ TEST(DeltaHexastoreTest, WritesStageInDeltaUntilThreshold) {
 }
 
 TEST(DeltaHexastoreTest, EraseOfBaseTripleStagesTombstone) {
-  DeltaHexastore store(/*compact_threshold=*/4);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 4});
   for (Id i = 1; i <= 4; ++i) {
     store.Insert({i, 1, 1});  // compacts on the 4th
   }
@@ -73,7 +72,7 @@ TEST(DeltaHexastoreTest, EraseOfBaseTripleStagesTombstone) {
 }
 
 TEST(DeltaHexastoreTest, ScanSeesBaseMinusTombstonesPlusDelta) {
-  DeltaHexastore store(/*compact_threshold=*/1024);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
   store.BulkLoad({{1, 1, 1}, {2, 1, 1}, {3, 1, 1}});
   store.Erase({2, 1, 1});   // tombstone over base
   store.Insert({4, 1, 1});  // staged insert
@@ -87,7 +86,7 @@ TEST(DeltaHexastoreTest, ScanSeesBaseMinusTombstonesPlusDelta) {
 
 TEST(DeltaHexastoreTest, AgreesWithHexastoreUnderRandomChurn) {
   Rng rng(0xde17a);
-  DeltaHexastore store(/*compact_threshold=*/64);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 64});
   Hexastore oracle;
   for (int i = 0; i < 4000; ++i) {
     IdTriple t{1 + rng.Uniform(12), 1 + rng.Uniform(6),
@@ -114,7 +113,7 @@ TEST(DeltaHexastoreTest, AgreesWithHexastoreUnderRandomChurn) {
 }
 
 TEST(DeltaHexastoreTest, SnapshotIsIsolatedFromLaterWritesAndCompaction) {
-  DeltaHexastore store(/*compact_threshold=*/16);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 16});
   for (Id i = 1; i <= 10; ++i) {
     store.Insert({i, 1, 1});
   }
@@ -140,7 +139,7 @@ TEST(DeltaHexastoreTest, SnapshotIsIsolatedFromLaterWritesAndCompaction) {
 }
 
 TEST(DeltaHexastoreTest, SnapshotEpochAdvancesOnCompaction) {
-  DeltaHexastore store(/*compact_threshold=*/4);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 4});
   DeltaHexastore::Snapshot before = store.GetSnapshot();
   for (Id i = 1; i <= 4; ++i) {
     store.Insert({i, 1, 1});
@@ -150,7 +149,7 @@ TEST(DeltaHexastoreTest, SnapshotEpochAdvancesOnCompaction) {
 }
 
 TEST(DeltaHexastoreTest, ClearResetsEverythingIncludingStagedOps) {
-  DeltaHexastore store(/*compact_threshold=*/1024);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
   store.BulkLoad({{1, 1, 1}, {2, 2, 2}});
   store.Insert({3, 3, 3});
   DeltaHexastore::Snapshot snap = store.GetSnapshot();
@@ -166,7 +165,7 @@ TEST(DeltaHexastoreTest, ClearResetsEverythingIncludingStagedOps) {
 }
 
 TEST(DeltaHexastoreTest, MergedTerminalListsSeeStagedEdits) {
-  DeltaHexastore store(/*compact_threshold=*/1024);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
   store.BulkLoad({{1, 2, 3}, {1, 2, 5}, {1, 2, 7}});
   store.Erase({1, 2, 5});
   store.Insert({1, 2, 4});
@@ -180,7 +179,7 @@ TEST(DeltaHexastoreTest, MergedTerminalListsSeeStagedEdits) {
 }
 
 TEST(DeltaHexastoreTest, MergedHeaderVectorsTrackPairLiveness) {
-  DeltaHexastore store(/*compact_threshold=*/1024);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
   store.BulkLoad({{1, 2, 3}, {1, 4, 3}, {5, 2, 3}});
   // New subject header appears from a staged insert alone.
   store.Insert({6, 2, 9});
@@ -203,7 +202,7 @@ TEST(DeltaHexastoreTest, MergedHeaderVectorsTrackPairLiveness) {
 }
 
 TEST(DeltaHexastoreTest, MergedViewsStayValidAcrossCompaction) {
-  DeltaHexastore store(/*compact_threshold=*/1024);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
   store.BulkLoad({{1, 2, 3}, {1, 2, 5}});
   store.Insert({1, 2, 4});
   const MergedList view = store.objects(1, 2);
@@ -215,11 +214,12 @@ TEST(DeltaHexastoreTest, MergedViewsStayValidAcrossCompaction) {
   EXPECT_EQ(store.objects(1, 2).Materialize(), live_expect);
 }
 
-// Every merge-join overload must agree with the same join on a plain
-// Hexastore holding the compacted contents.
-TEST(DeltaHexastoreTest, MergeJoinsAgreeWithCompactedHexastore) {
+// Every merged accessor view — live and pinned — must equal the raw
+// vector of a plain Hexastore holding the compacted contents, mid-delta
+// (these views are the sorted inputs of the paper's merge joins).
+TEST(DeltaHexastoreTest, MergedViewsAgreeWithCompactedHexastore) {
   Rng rng(77);
-  DeltaHexastore store(/*compact_threshold=*/64);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 64});
   Hexastore compacted;
   for (int i = 0; i < 1200; ++i) {
     IdTriple t{1 + rng.Uniform(10), 1 + rng.Uniform(4),
@@ -233,27 +233,40 @@ TEST(DeltaHexastoreTest, MergeJoinsAgreeWithCompactedHexastore) {
     }
   }
   ASSERT_EQ(MatchAll(store), MatchAll(compacted));
+  ASSERT_GT(store.StagedOps(), 0u);
+  auto raw = [](const IdVec* v) { return v == nullptr ? IdVec{} : *v; };
+  const DeltaHexastore::Snapshot snap = store.GetSnapshot();
   for (int probe = 0; probe < 50; ++probe) {
-    const Id p1 = 1 + rng.Uniform(5);
-    const Id p2 = 1 + rng.Uniform(5);
-    const Id o1 = 1 + rng.Uniform(11);
-    const Id o2 = 1 + rng.Uniform(11);
-    const Id s1 = 1 + rng.Uniform(11);
-    const Id s2 = 1 + rng.Uniform(11);
-    EXPECT_EQ(JoinSubjectsByObjects(store, p1, o1, p2, o2),
-              JoinSubjectsByObjects(compacted, p1, o1, p2, o2));
-    EXPECT_EQ(JoinObjectsBySubjects(store, s1, p1, s2, p2),
-              JoinObjectsBySubjects(compacted, s1, p1, s2, p2));
-    EXPECT_EQ(JoinSubjectsOfObjects(store, o1, o2),
-              JoinSubjectsOfObjects(compacted, o1, o2));
-    EXPECT_EQ(JoinPredicatesByPairs(store, s1, o1, s2, o2),
-              JoinPredicatesByPairs(compacted, s1, o1, s2, o2));
-    EXPECT_EQ(JoinChain(store, p1, p2), JoinChain(compacted, p1, p2));
+    const Id s = 1 + rng.Uniform(11);
+    const Id p = 1 + rng.Uniform(5);
+    const Id o = 1 + rng.Uniform(11);
+    EXPECT_EQ(store.subjects(p, o).Materialize(),
+              raw(compacted.subjects(p, o)));
+    EXPECT_EQ(store.objects(s, p).Materialize(), raw(compacted.objects(s, p)));
+    EXPECT_EQ(store.predicates(s, o).Materialize(),
+              raw(compacted.predicates(s, o)));
+    EXPECT_EQ(store.subjects_of_object(o),
+              raw(compacted.subjects_of_object(o)));
+    EXPECT_EQ(store.predicates_of_object(o),
+              raw(compacted.predicates_of_object(o)));
+    EXPECT_EQ(store.objects_of_predicate(p),
+              raw(compacted.objects_of_predicate(p)));
+    EXPECT_EQ(store.subjects_of_predicate(p),
+              raw(compacted.subjects_of_predicate(p)));
+    EXPECT_EQ(store.predicates_of_subject(s),
+              raw(compacted.predicates_of_subject(s)));
+    EXPECT_EQ(store.objects_of_subject(s),
+              raw(compacted.objects_of_subject(s)));
+    EXPECT_EQ(snap.subjects(p, o).Materialize(), raw(compacted.subjects(p, o)));
+    EXPECT_EQ(snap.objects(s, p).Materialize(), raw(compacted.objects(s, p)));
+    EXPECT_EQ(snap.subjects_of_object(o), raw(compacted.subjects_of_object(o)));
+    EXPECT_EQ(snap.objects_of_predicate(p),
+              raw(compacted.objects_of_predicate(p)));
   }
 }
 
 TEST(DeltaHexastoreTest, StatsReportDeltaAndBase) {
-  DeltaHexastore store(/*compact_threshold=*/100);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 100});
   store.BulkLoad({{1, 1, 1}, {2, 2, 2}, {3, 3, 3}});
   store.Insert({4, 4, 4});
   store.Insert({5, 5, 5});
@@ -272,7 +285,7 @@ TEST(DeltaHexastoreTest, StatsReportDeltaAndBase) {
 }
 
 TEST(DeltaHexastoreTest, BulkLoadMergesIntoExistingContents) {
-  DeltaHexastore store(/*compact_threshold=*/1024);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
   store.Insert({1, 1, 1});
   store.Insert({2, 2, 2});
   store.BulkLoad({{2, 2, 2}, {3, 3, 3}, {3, 3, 3}});
@@ -283,7 +296,7 @@ TEST(DeltaHexastoreTest, BulkLoadMergesIntoExistingContents) {
 }
 
 TEST(DeltaHexastoreTest, ErasePatternStagesOneTombstoneNotOnePerMatch) {
-  DeltaHexastore store(/*compact_threshold=*/1u << 20);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1u << 20});
   IdTripleVec triples;
   for (Id i = 1; i <= 100; ++i) {
     triples.push_back(IdTriple{i, 7, i + 1});
@@ -319,7 +332,7 @@ TEST(DeltaHexastoreTest, ErasePatternStagesOneTombstoneNotOnePerMatch) {
 }
 
 TEST(DeltaHexastoreTest, ErasePatternSubsumesStagedOpsOnPredicate) {
-  DeltaHexastore store(/*compact_threshold=*/1u << 20);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1u << 20});
   store.BulkLoad({IdTriple{1, 5, 1}, IdTriple{2, 5, 2}, IdTriple{3, 6, 3}});
   EXPECT_TRUE(store.Insert(IdTriple{9, 5, 9}));  // staged insert, pred 5
   EXPECT_TRUE(store.Erase(IdTriple{1, 5, 1}));   // staged tombstone, pred 5
@@ -332,7 +345,7 @@ TEST(DeltaHexastoreTest, ErasePatternSubsumesStagedOpsOnPredicate) {
 }
 
 TEST(DeltaHexastoreTest, SnapshotIsolatedFromErasePattern) {
-  DeltaHexastore store(/*compact_threshold=*/1u << 20);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1u << 20});
   store.BulkLoad({IdTriple{1, 2, 3}, IdTriple{4, 2, 5}, IdTriple{6, 7, 8}});
   DeltaHexastore::Snapshot snap = store.GetSnapshot();
   EXPECT_EQ(store.ErasePattern(IdPattern{0, 2, 0}), 2u);
@@ -345,7 +358,7 @@ TEST(DeltaHexastoreTest, SnapshotIsolatedFromErasePattern) {
 
 TEST(DeltaHexastoreSnapshotIoTest, RoundTripsAndCompactsFirst) {
   Dictionary dict;
-  DeltaHexastore store(/*compact_threshold=*/1024);
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
   Rng rng(5);
   for (int i = 0; i < 300; ++i) {
     Term s = Term::Iri("http://ex/s" + std::to_string(rng.Uniform(40)));

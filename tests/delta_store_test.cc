@@ -161,18 +161,5 @@ TEST(MergedListCursorTest, EverythingRemoved) {
   EXPECT_EQ(Walk(&base, nullptr, &removes), IdVec{});
 }
 
-TEST(MergedListCursorTest, IntersectCursorsMatchesVectorIntersect) {
-  const IdVec a_base{1, 3, 5, 7};
-  const IdVec a_adds{2, 9};
-  const IdVec a_removes{5};
-  const IdVec b_base{2, 3, 9, 11};
-  // merged a = {1,2,3,7,9}, merged b = {2,3,9,11} -> {2,3,9}
-  const IdVec expect{2, 3, 9};
-  EXPECT_EQ(
-      IntersectCursors(MergedListCursor(&a_base, &a_adds, &a_removes),
-                       MergedListCursor(&b_base, nullptr, nullptr)),
-      expect);
-}
-
 }  // namespace
 }  // namespace hexastore

@@ -33,9 +33,9 @@
 #include <vector>
 
 #include "delta/delta_hexastore.h"
+#include "index/sorted_vec.h"
 #include "query/bgp.h"
 #include "shard/sharded_hexastore.h"
-#include "query/merge_join.h"
 #include "query/plan_cache.h"
 #include "query/result_json.h"
 #include "query/session.h"
@@ -553,8 +553,9 @@ TEST(EpochStressTest, ReadersHoldHandlesAcrossForcedCompactions) {
   EXPECT_EQ(epochs.active_reader_sections, 0);
 }
 
-// Pinned-generation query plans: BGP evaluation and merge joins over a
-// handle answer from exactly one generation while the writer churns.
+// Pinned-generation query plans: BGP evaluation and sorted-list
+// intersections over a handle answer from exactly one generation while
+// the writer churns.
 TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
   DeltaHexastore store(DeltaOptions{/*compact_threshold=*/32,
                                     /*background_compaction=*/true});
@@ -571,27 +572,25 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
     readers.emplace_back([&store, &done, &failures, p_knows] {
       while (!done.load(std::memory_order_acquire)) {
         const DeltaHexastore::Snapshot snap = store.AcquireReadHandle();
-        // The joins and the direct scans must agree because they read
-        // the same pinned generation.
-        const IdVec joined = JoinSubjectsOfObjects(snap, 7, 9);
-        const IdVec left = snap.subjects_of_object(7);
-        const IdVec right = snap.subjects_of_object(9);
-        IdVec expect;
-        for (Id s : left) {
-          if (SortedContains(right, s)) {
-            expect.push_back(s);
-          }
-        }
-        if (joined != expect) {
-          failures.fetch_add(1);
-        }
-        // Chain join built from the same handle stays self-consistent.
-        const auto chain = JoinChain(snap, p_knows, p_knows);
-        for (const auto& [s, e] : chain) {
-          if (!snap.MatchesAny(IdPattern{s, p_knows, 0})) {
+        // Header vectors and scans agree because they read the same
+        // pinned generation: every subject of both objects has a triple
+        // to each of them.
+        const IdVec both = Intersect(snap.subjects_of_object(7),
+                                     snap.subjects_of_object(9));
+        for (Id s : both) {
+          if (!snap.MatchesAny(IdPattern{s, 0, 7}) ||
+              !snap.MatchesAny(IdPattern{s, 0, 9})) {
             failures.fetch_add(1);
           }
-          if (!snap.MatchesAny(IdPattern{0, p_knows, e})) {
+        }
+        // A chain step over the same handle stays self-consistent: every
+        // node that ends a knows edge and starts one has non-empty
+        // terminal lists on both sides.
+        const IdVec mids = Intersect(snap.objects_of_predicate(p_knows),
+                                     snap.subjects_of_predicate(p_knows));
+        for (Id mid : mids) {
+          if (snap.subjects(p_knows, mid).empty() ||
+              snap.objects(mid, p_knows).empty()) {
             failures.fetch_add(1);
           }
         }
@@ -614,15 +613,18 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  // EvalBgpPinned plans and evaluates against a single generation; on a
-  // quiescent store it must agree with the live evaluation.
+  // A pinned Session plans and evaluates against a single generation; on
+  // a quiescent store it must agree with the live evaluation.
   store.Compact();
   const std::vector<TriplePattern> patterns = {
       {PatternTerm::Variable("x"), PatternTerm::Bound(dict.term(p_knows)),
        PatternTerm::Variable("y")}};
-  const ResultSet pinned = EvalBgpPinned(store, dict, patterns);
+  query::SessionOptions linearizable;
+  linearizable.pin = PinPolicy::kLinearizable;
+  auto pinned = query::Session(store, dict, linearizable).EvalBgp(patterns);
+  ASSERT_TRUE(pinned.ok());
   const ResultSet live = EvalBgp(store, dict, patterns);
-  EXPECT_EQ(pinned.rows.size(), live.rows.size());
+  EXPECT_EQ(pinned.value().set.rows.size(), live.rows.size());
 }
 
 // Concurrent profiled queries against a churning store: every profile
@@ -651,11 +653,18 @@ TEST(EpochStressTest, ProfiledQueriesUnderBackgroundChurn) {
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(17 + r);
+      query::SessionOptions linearizable;
+      linearizable.pin = PinPolicy::kLinearizable;
+      query::Session session(store, dict, linearizable);
       while (!done.load(std::memory_order_acquire)) {
         queries.fetch_add(1, std::memory_order_relaxed);
-        QueryProfile profile;
-        const ResultSet result =
-            EvalBgpPinned(store, dict, patterns, &profile);
+        auto evaluated = session.EvalBgp(patterns);
+        if (!evaluated.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        const ResultSet& result = evaluated.value().set;
+        const QueryProfile& profile = evaluated.value().profile;
         // The profile describes exactly the pinned evaluation: one
         // pattern, row count matching the result, phases that add up.
         if (profile.patterns.size() != 1 ||
@@ -821,13 +830,13 @@ TEST(EpochStressTest, HandlesSurviveCheckpointsAndRecovery) {
   // Each checkpoint pays several fsyncs; a mid-size threshold keeps the
   // test to a handful of compaction-triggered checkpoints plus the two
   // explicit ones below.
-  options.compact_threshold = 512;
-  options.background_compaction = true;
+  options.delta.compact_threshold = 512;
+  options.delta.background_compaction = true;
   options.background_checkpoints = true;
   // Leveled inner store: checkpoints ride fold and base merges alike,
   // and recovery must replay into the same leveled configuration.
-  options.l0_run_limit = 2;
-  options.l1_base_fraction = 0.1;
+  options.delta.l0_run_limit = 2;
+  options.delta.l1_base_fraction = 0.1;
 
   std::set<IdTriple> oracle;
   {
@@ -1118,8 +1127,8 @@ TEST(EpochStressTest, ShardedWritersGroupCommitsAndCheckpointsRecover) {
   options.durability.dir = dir.string();
   options.durability.mode = DurabilityMode::kBatched;
   options.durability.batch_bytes = 256;  // frequent group sweeps
-  options.durability.compact_threshold = 512;
-  options.durability.background_compaction = true;
+  options.delta.compact_threshold = 512;
+  options.delta.background_compaction = true;
 
   std::vector<std::set<IdTriple>> oracles(kWriters);
   {

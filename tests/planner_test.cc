@@ -192,8 +192,8 @@ class DeltaPlannerTest : public ::testing::Test {
       base.push_back(IdTriple{Intern("s", i), p2_, Intern("x", i % 10)});
     }
     std::sort(base.begin(), base.end());
-    store_ = std::make_unique<DeltaHexastore>(/*compact_threshold=*/1u
-                                              << 20);
+    store_ = std::make_unique<DeltaHexastore>(
+        DeltaOptions{.compact_threshold = 1u << 20});
     store_->BulkLoad(base);
   }
 

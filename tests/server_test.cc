@@ -1,8 +1,9 @@
-// Tests for the concurrent SPARQL HTTP server (server/server.h):
-// socket-free routing through Server::Handle, end-to-end socket round
-// trips, write visibility (publish-on-write), admission-control 503s,
-// and a concurrent clients-vs-compactor stress run (the TSan CI job
-// leans on this one).
+// Tests for the concurrent SPARQL HTTP server (server/server.h) over
+// the ShardedHexastore it always serves (one shard unless a test says
+// otherwise): socket-free routing through Server::Handle, end-to-end
+// socket round trips, write visibility (publish-on-write), durable
+// writes surviving a reopen, admission-control 503s, and a concurrent
+// clients-vs-compactor stress run (the TSan CI job leans on this one).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,12 +15,12 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "delta/delta_hexastore.h"
 #include "dict/dictionary.h"
 #include "query/session.h"
 #include "server/http.h"
@@ -155,7 +156,7 @@ class ServerHandleTest : public ::testing::Test {
           Triple{Term::Iri("http://x/s" + std::to_string(i)),
                  Term::Iri("http://x/p"), Term::Iri("http://x/o")}));
     }
-    store_.GetSnapshot();  // publish for wait-free sessions
+    store_.Publish();  // publish for wait-free sessions
     query::SessionOptions options;
     options.pin = query::PinPolicy::kWaitFree;
     session_ = std::make_unique<query::Session>(store_, dict_, options);
@@ -166,7 +167,7 @@ class ServerHandleTest : public ::testing::Test {
   }
 
   Dictionary dict_;
-  DeltaHexastore store_;
+  ShardedHexastore store_{ShardedOptions{}};
   Server server_;  // never Start()ed: routing only
   std::unique_ptr<query::Session> session_;
 };
@@ -242,9 +243,8 @@ TEST_F(ServerHandleTest, MetricsExposeServerAndPlanCacheFamilies) {
   EXPECT_EQ(Handle(MakeRequest("GET", "/metrics.json")).status, 200);
 }
 
-// The same HTTP surface over the sharded facade: queries, publish-on-
-// write freshness and the metrics export all route through
-// ShardedHexastore (HEXA_SHARDS > 1 in the binary).
+// The same HTTP surface over four shards: queries scatter-gather, and
+// publish-on-write freshness and the metrics export span every shard.
 class ShardedServerHandleTest : public ::testing::Test {
  protected:
   static ShardedOptions FourShards() {
@@ -260,7 +260,7 @@ class ShardedServerHandleTest : public ::testing::Test {
           Triple{Term::Iri("http://x/s" + std::to_string(i)),
                  Term::Iri("http://x/p"), Term::Iri("http://x/o")}));
     }
-    store_.GetSnapshot();  // publish for wait-free sessions
+    store_.Publish();  // publish for wait-free sessions
     query::SessionOptions options;
     options.pin = query::PinPolicy::kWaitFree;
     session_ = std::make_unique<query::Session>(store_, dict_, options);
@@ -319,6 +319,42 @@ TEST_F(ShardedServerHandleTest, HealthzAnswersOk) {
   EXPECT_NE(health.body.find("true"), std::string::npos);
 }
 
+// A durable server at one shard keeps the single-store layout (MANIFEST
+// at the WAL directory's root, no SHARDS file), and an acknowledged
+// /insert survives a reopen.
+TEST(ServerDurableTest, InsertSurvivesReopenInSingleStoreLayout) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("hexa-server-durable-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ShardedOptions options;
+  options.durable = true;
+  options.durability.dir = dir.string();
+  Dictionary dict;
+  {
+    auto opened = ShardedHexastore::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Server server(*opened.value(), dict, ServerOptions{});
+    query::Session session(*opened.value(), dict);
+    const HttpRequest insert = MakeRequest(
+        "POST", "/insert", {}, "<http://x/d> <http://x/p> <http://x/o> .\n");
+    EXPECT_EQ(server.Handle(insert, &session).status, 200);
+    EXPECT_EQ(server.Handle(MakeRequest("GET", "/healthz"), &session).status,
+              200);
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir / "MANIFEST"));
+  EXPECT_FALSE(std::filesystem::exists(dir / "SHARDS"));
+  {
+    auto reopened = ShardedHexastore::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened.value()->size(), 1u);
+    EXPECT_TRUE(reopened.value()->Contains(dict.Encode(
+        Triple{Term::Iri("http://x/d"), Term::Iri("http://x/p"),
+               Term::Iri("http://x/o")})));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ServerHandleTest, HealthzAnswersBooleanJson) {
   HttpResponse health = Handle(MakeRequest("GET", "/healthz"));
   EXPECT_EQ(health.status, 200);
@@ -342,7 +378,7 @@ TEST_F(ServerHandleTest, DeadlineOverrunIs504) {
 
 TEST(ServerSocketTest, EndToEndRoundTrips) {
   Dictionary dict;
-  DeltaHexastore store;
+  ShardedHexastore store{ShardedOptions{}};
   for (int i = 0; i < 16; ++i) {
     store.Insert(dict.Encode(
         Triple{Term::Iri("http://x/s" + std::to_string(i)),
@@ -381,7 +417,7 @@ TEST(ServerSocketTest, EndToEndRoundTrips) {
 
 TEST(ServerSocketTest, OversizedRequestIs413) {
   Dictionary dict;
-  DeltaHexastore store;
+  ShardedHexastore store{ShardedOptions{}};
   ServerOptions options;
   options.port = 0;
   options.max_request_bytes = 2048;
@@ -396,7 +432,7 @@ TEST(ServerSocketTest, OversizedRequestIs413) {
 
 TEST(ServerSocketTest, AdmissionControlShedsWith503) {
   Dictionary dict;
-  DeltaHexastore store;
+  ShardedHexastore store{ShardedOptions{}};
   // Enough data that one ORDER BY query occupies the single worker for
   // a measurable window.
   for (int i = 0; i < 20000; ++i) {
@@ -464,7 +500,9 @@ TEST(ServerSocketTest, ConcurrentClientsVsCompactorStress) {
   delta.compact_threshold = 64;     // merge constantly
   delta.background_compaction = true;
   delta.l0_run_limit = 2;
-  DeltaHexastore store(delta);
+  ShardedOptions sharded;
+  sharded.delta = delta;
+  ShardedHexastore store(sharded);
   ServerOptions options;
   options.port = 0;
   options.threads = 4;

@@ -1,7 +1,7 @@
 // Tests for the unified query::Session API (query/session.h): pin
-// policies and write visibility, per-query deadlines, ProfileSink
-// feeding, plan-cache integration, and equivalence with the deprecated
-// RunSparql / EvalBgpPinned shims.
+// policies and write visibility (on a DeltaHexastore and a 1-shard
+// facade), per-query deadlines, ProfileSink feeding, plan-cache
+// integration, and equivalence with unpinned evaluation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,7 +14,7 @@
 #include "query/plan_cache.h"
 #include "query/result_json.h"
 #include "query/session.h"
-#include "query/sparql_engine.h"
+#include "shard/sharded_hexastore.h"
 
 namespace hexastore {
 namespace {
@@ -53,15 +53,19 @@ constexpr const char* kChainQuery =
     "SELECT ?a ?c WHERE { ?a <http://x/knows> ?b . "
     "?b <http://x/knows> ?c } ORDER BY ?a";
 
-TEST_F(SessionTest, QueryMatchesLegacyRunSparql) {
+TEST_F(SessionTest, PinnedQueryMatchesUnpinnedRead) {
   query::Session session(store_, dict_);
   auto via_session = session.Query(kChainQuery);
   ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
+  EXPECT_GT(via_session.value().profile.pin_ns, 0u);
 
-  auto legacy = RunSparql(store_, dict_, kChainQuery);
-  ASSERT_TRUE(legacy.ok());
+  query::SessionOptions unpinned;
+  unpinned.pin = query::PinPolicy::kNone;
+  auto live = query::Session(store_, dict_, unpinned).Query(kChainQuery);
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live.value().profile.pin_ns, 0u);
   EXPECT_EQ(ResultSetToJson(via_session.value().set, dict_),
-            ResultSetToJson(legacy.value(), dict_));
+            ResultSetToJson(live.value().set, dict_));
   // Sessions always profile: phase times and rows populated.
   EXPECT_EQ(via_session.value().profile.rows_out,
             via_session.value().set.rows.size());
@@ -92,19 +96,60 @@ TEST_F(SessionTest, WaitFreePinSeesOnlyPublishedState) {
   EXPECT_EQ(pinned.Query(kChainQuery).value().set.rows.size(), before + 1);
 }
 
-TEST_F(SessionTest, PlainTripleStoreForcesPinNone) {
+TEST_F(SessionTest, WaitFreePinOnOneShardFacadeMatchesItsShard) {
+  // The 1-shard facade pins like its shard: same wait-free visibility,
+  // the shard's (epoch, staged_ops) as the plan-cache stamp, and a
+  // repeat query is a cache hit.
+  ShardedHexastore facade{ShardedOptions{}};
+  store_.Scan(IdPattern{}, [&facade](const IdTriple& t) { facade.Insert(t); });
+  facade.Publish();
+  const DeltaHexastore::Snapshot shard_view =
+      facade.shard(0).AcquireReadHandle();
+  facade.Pin(PinPolicy::kWaitFree,
+             [&](const TripleStore& view, std::vector<std::uint64_t> stamp) {
+               EXPECT_EQ(view.size(), shard_view.size());
+               EXPECT_EQ(stamp, (std::vector<std::uint64_t>{
+                                    shard_view.epoch(),
+                                    shard_view.staged_ops()}));
+             });
+  PlanCache cache;
+  query::SessionOptions options;
+  options.plan_cache = &cache;
+  query::Session session(facade, dict_, options);
+  query::Session single(store_, dict_);
+
+  auto first = session.Query(kChainQuery);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(ResultSetToJson(first.value().set, dict_),
+            ResultSetToJson(single.Query(kChainQuery).value().set, dict_));
+  EXPECT_TRUE(session.Query(kChainQuery).value().from_plan_cache);
+
+  // Staged but unpublished writes stay invisible until Publish().
+  const std::size_t before = first.value().set.rows.size();
+  facade.Insert(dict_.Encode(Triple{Term::Iri("http://x/s8"),
+                                    Term::Iri("http://x/knows"),
+                                    Term::Iri("http://x/s9")}));
+  EXPECT_EQ(session.Query(kChainQuery).value().set.rows.size(), before);
+  facade.Publish();
+  EXPECT_EQ(session.Query(kChainQuery).value().set.rows.size(), before + 1);
+}
+
+TEST_F(SessionTest, PlainTripleStoreReadsItselfUnpinned) {
   Hexastore plain;
   Dictionary dict;
   plain.Insert(dict.Encode(Triple{Term::Iri("http://x/a"),
                                   Term::Iri("http://x/p"),
                                   Term::Iri("http://x/b")}));
   query::SessionOptions options;
-  options.pin = query::PinPolicy::kWaitFree;  // impossible: no gate
+  options.pin = query::PinPolicy::kWaitFree;  // no gate: reads the store
   query::Session session(plain, dict, options);
-  EXPECT_EQ(session.options().pin, query::PinPolicy::kNone);
   auto r = session.Query("SELECT ?s WHERE { ?s <http://x/p> ?o }");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().set.rows.size(), 1u);
+  EXPECT_EQ(r.value().profile.pin_ns, 0u);
+  EXPECT_EQ(r.value().profile.total_ns,
+            r.value().profile.parse_ns + r.value().profile.plan_ns +
+                r.value().profile.eval_ns);
 }
 
 TEST_F(SessionTest, DeadlineExceededSurfacesAsError) {
@@ -166,22 +211,25 @@ TEST_F(SessionTest, PlanCacheServesRepeatedTemplates) {
   EXPECT_EQ(cache.hits(), 2u);
 }
 
-TEST_F(SessionTest, EvalBgpMatchesPinnedShim) {
+TEST_F(SessionTest, EvalBgpMatchesSnapshotEvaluation) {
   std::vector<TriplePattern> patterns = {Pat("?a", "knows", "?b"),
                                          Pat("?b", "knows", "?c")};
-  query::Session session(store_, dict_);
+  query::SessionOptions options;
+  options.pin = query::PinPolicy::kLinearizable;
+  query::Session session(store_, dict_, options);
   auto via_session = session.EvalBgp(patterns);
   ASSERT_TRUE(via_session.ok());
-  EXPECT_EQ(via_session.value().profile.kind, QueryKind::kBgp);
+  const QueryProfile& profile = via_session.value().profile;
+  EXPECT_EQ(profile.kind, QueryKind::kBgp);
 
-  QueryProfile profile;
-  ResultSet via_shim = EvalBgpPinned(store_, dict_, patterns, &profile);
+  ResultSet direct = EvalBgp(store_.GetSnapshot(), dict_, patterns);
   EXPECT_EQ(ResultSetToJson(via_session.value().set, dict_),
-            ResultSetToJson(via_shim, dict_));
-  // The shim preserves the legacy profile contract: patterns attached,
-  // total covers parse+pin.
+            ResultSetToJson(direct, dict_));
+  // Patterns attached; the pin encloses plan+eval, so total is
+  // parse+pin.
   EXPECT_EQ(profile.patterns.size(), 2u);
   EXPECT_GT(profile.rows_out, 0u);
+  EXPECT_EQ(profile.total_ns, profile.parse_ns + profile.pin_ns);
 }
 
 TEST_F(SessionTest, ExplainIsDeterministicAndAnalyzeRuns) {

@@ -52,7 +52,7 @@ TEST_P(ShardedOracleTest, ChurnStaysByteIdentical) {
   opts.shards = shards;
   opts.delta.compact_threshold = 96;  // compactions fire mid-churn
   ShardedHexastore sharded(opts);
-  DeltaHexastore single(96);
+  DeltaHexastore single(DeltaOptions{.compact_threshold = 96});
 
   Rng rng(0x5eed0 + shards);
   for (int round = 0; round < 3; ++round) {
@@ -135,7 +135,7 @@ TEST_P(ShardedOracleTest, SnapshotAndAccessorViewsAgree) {
   opts.shards = shards;
   opts.delta.compact_threshold = 128;
   ShardedHexastore sharded(opts);
-  DeltaHexastore single(128);
+  DeltaHexastore single(DeltaOptions{.compact_threshold = 128});
 
   Rng rng(0xacce55 + shards);
   for (int i = 0; i < 900; ++i) {
@@ -232,7 +232,7 @@ TEST(ShardedHexastoreTest, PredicateOnlyErasePatternCountsExactly) {
   opts.shards = 4;
   opts.delta.compact_threshold = 64;
   ShardedHexastore sharded(opts);
-  DeltaHexastore single(64);
+  DeltaHexastore single(DeltaOptions{.compact_threshold = 64});
 
   Rng rng(0xfade);
   for (int i = 0; i < 1500; ++i) {

@@ -5,7 +5,7 @@
 
 #include "core/graph.h"
 #include "data/barton_generator.h"
-#include "query/sparql_engine.h"
+#include "query/session.h"
 #include "workload/barton_queries.h"
 
 namespace hexastore {
@@ -26,9 +26,9 @@ class SparqlAggregateTest : public ::testing::Test {
   }
 
   ResultSet Run(const std::string& query) {
-    auto r = RunSparql(graph_.store(), graph_.dict(), query);
+    auto r = query::Session(graph_.store(), graph_.dict()).Query(query);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? std::move(r).value() : ResultSet{};
+    return r.ok() ? std::move(r).value().set : ResultSet{};
   }
 
   Graph graph_;
@@ -119,9 +119,10 @@ TEST_F(SparqlAggregateTest, OrderByAggregate) {
 }
 
 TEST_F(SparqlAggregateTest, SelectVarMustBeGrouped) {
-  auto r = RunSparql(graph_.store(), graph_.dict(),
-                     "PREFIX x: <http://x/>\n"
-                     "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s x:knows ?o }");
+  query::Session session(graph_.store(), graph_.dict());
+  auto r = session.Query(
+      "PREFIX x: <http://x/>\n"
+      "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s x:knows ?o }");
   EXPECT_FALSE(r.ok());
 }
 
@@ -143,13 +144,13 @@ TEST(SparqlAggregateBartonTest, Bq1MatchesWorkloadImplementation) {
   workload::CountRows expect =
       workload::BartonQ1Hexa(graph.store(), ids);
 
-  auto r = RunSparql(graph.store(), graph.dict(),
-                     "PREFIX b: <http://example.org/barton/>\n"
-                     "SELECT ?t (COUNT(?s) AS ?n) WHERE { ?s b:type ?t } "
-                     "GROUP BY ?t");
+  query::Session session(graph.store(), graph.dict());
+  auto r = session.Query(
+      "PREFIX b: <http://example.org/barton/>\n"
+      "SELECT ?t (COUNT(?s) AS ?n) WHERE { ?s b:type ?t } GROUP BY ?t");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   workload::CountRows got;
-  for (const Row& row : r.value().rows) {
+  for (const Row& row : r.value().set.rows) {
     got.emplace_back(row[0], row[1]);
   }
   std::sort(got.begin(), got.end());

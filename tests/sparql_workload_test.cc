@@ -7,7 +7,7 @@
 
 #include "core/graph.h"
 #include "data/lubm_generator.h"
-#include "query/sparql_engine.h"
+#include "query/session.h"
 #include "workload/lubm_queries.h"
 
 namespace hexastore {
@@ -21,9 +21,9 @@ class SparqlWorkloadTest : public ::testing::Test {
   }
 
   ResultSet Run(const std::string& query) {
-    auto r = RunSparql(graph_.store(), graph_.dict(), query);
+    auto r = query::Session(graph_.store(), graph_.dict()).Query(query);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? std::move(r).value() : ResultSet{};
+    return r.ok() ? std::move(r).value().set : ResultSet{};
   }
 
   Graph graph_;

@@ -35,9 +35,9 @@ struct StoreSet {
   TripleTableStore table;
   // Tiny threshold: compactions fire constantly mid-workload, so probes
   // hit freshly-drained and half-staged states alike.
-  DeltaHexastore delta_compacting{128};
+  DeltaHexastore delta_compacting{DeltaOptions{.compact_threshold = 128}};
   // Huge threshold: the whole workload stays staged in the delta.
-  DeltaHexastore delta_staged{1u << 30};
+  DeltaHexastore delta_staged{DeltaOptions{.compact_threshold = 1u << 30}};
   ShardedHexastore sharded{SmallShardedOptions()};
 
   std::vector<TripleStore*> all() {

@@ -1,10 +1,13 @@
 // Tests for the consolidated HEXA_* environment reader
-// (server/store_options.h): FromEnv mapping into all three option
-// structs, unparsable-value repair notes, and ServerOptions::Normalize
-// clamping.
+// (server/store_options.h): FromEnv mapping into the served store's and
+// the server's options, unparsable-value repair notes, and
+// ServerOptions::Normalize clamping.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 
 #include "server/store_options.h"
 
@@ -47,23 +50,57 @@ TEST_F(StoreOptionsTest, DefaultsWhenEnvironmentIsEmpty) {
             DeltaOptions{}.compact_threshold);
 }
 
-TEST_F(StoreOptionsTest, StoreShapeKnobsReachDeltaAndDurability) {
+TEST_F(StoreOptionsTest, StoreShapeKnobsReachDurableShards) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("hexa-store-options-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
   ::setenv("HEXA_COMPACT_THRESHOLD", "123", 1);
   ::setenv("HEXA_BG_COMPACTION", "1", 1);
   ::setenv("HEXA_L0_RUN_LIMIT", "3", 1);
+  ::setenv("HEXA_WAL_DIR", dir.c_str(), 1);
+  ::setenv("HEXA_L1_BASE_FRACTION", "0.5", 1);
+  ::setenv("HEXA_MEM_BUDGET", "65536", 1);
+  ::setenv("HEXA_FILTER_BITS", "6", 1);
   StoreOptions options = StoreOptions::FromEnv();
   EXPECT_EQ(options.delta.compact_threshold, 123u);
   EXPECT_TRUE(options.delta.background_compaction);
   EXPECT_EQ(options.delta.l0_run_limit, 3u);
-  // The same shape applies to the durable configuration: one store
-  // geometry regardless of whether the WAL wrapper is in front.
-  EXPECT_EQ(options.durability.compact_threshold, 123u);
-  EXPECT_TRUE(options.durability.background_compaction);
-  EXPECT_EQ(options.durability.l0_run_limit, 3u);
+  // `durability` alone configures a durable store the same way.
+  const DeltaOptions& durable_delta = options.durability.delta;
+  EXPECT_EQ(durable_delta.compact_threshold, options.delta.compact_threshold);
+  EXPECT_EQ(durable_delta.background_compaction,
+            options.delta.background_compaction);
+  EXPECT_EQ(durable_delta.l0_run_limit, options.delta.l0_run_limit);
+  EXPECT_EQ(durable_delta.l1_base_fraction, options.delta.l1_base_fraction);
+  EXPECT_EQ(durable_delta.memory_budget_bytes,
+            options.delta.memory_budget_bytes);
+  EXPECT_EQ(durable_delta.filter_bits_per_key,
+            options.delta.filter_bits_per_key);
+  EXPECT_EQ(durable_delta.trace_capacity, options.delta.trace_capacity);
+  // The same shape reaches the durable store: one store geometry
+  // regardless of whether the WAL wrapper is in front.
+  {
+    auto opened = ShardedHexastore::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const DeltaHexastore& shard = opened.value()->shard(0);
+    EXPECT_EQ(shard.compact_threshold(), 123u);
+    EXPECT_TRUE(shard.background());
+    EXPECT_EQ(shard.l0_run_limit(), 3u);
+  }
+  {
+    auto opened = DurableDeltaHexastore::Open(options.durability);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const DeltaHexastore& store = opened.value()->delta();
+    EXPECT_EQ(store.compact_threshold(), 123u);
+    EXPECT_TRUE(store.background());
+    EXPECT_EQ(store.l0_run_limit(), 3u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(StoreOptionsTest, ShardsKnob) {
-  // Default: unsharded.
+  // Default: one shard.
   EXPECT_EQ(StoreOptions::FromEnv().shards, 1u);
   ::setenv("HEXA_SHARDS", "4", 1);
   std::string notes;
@@ -79,6 +116,14 @@ TEST_F(StoreOptionsTest, ShardsKnob) {
   notes.clear();
   EXPECT_EQ(StoreOptions::FromEnv(&notes).shards, 1u);
   EXPECT_NE(notes.find("shards=0"), std::string::npos) << notes;
+  // With a store-shape repair alongside, both are reported.
+  ::setenv("HEXA_COMPACT_THRESHOLD", "0", 1);
+  notes.clear();
+  const StoreOptions repaired = StoreOptions::FromEnv(&notes);
+  EXPECT_EQ(repaired.shards, 1u);
+  EXPECT_EQ(repaired.delta.compact_threshold, 1u);
+  EXPECT_NE(notes.find("shards=0"), std::string::npos) << notes;
+  EXPECT_NE(notes.find("compact_threshold 0"), std::string::npos) << notes;
 }
 
 TEST_F(StoreOptionsTest, WalDirImpliesDurable) {
