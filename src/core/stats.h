@@ -37,29 +37,32 @@ struct DeltaStats {
   std::size_t staged_tombstones = 0;  ///< ops staged as tombstones
   std::size_t pattern_tombstones = 0;  ///< predicate-level pattern erases
   std::size_t compact_threshold = 0;  ///< auto-compaction trigger
-  std::uint64_t compactions = 0;      ///< delta drains since construction
+  std::uint64_t compactions = 0;      ///< compaction jobs (drains + folds)
   std::uint64_t epoch = 0;            ///< generation counter
   std::size_t base_triples = 0;       ///< triples in the compacted base
   std::size_t base_bytes = 0;         ///< base index heap bytes
   std::size_t delta_bytes = 0;        ///< staging-buffer heap bytes
 
-  // Background-compaction counters (zero on a synchronous store).
-  bool background = false;        ///< merges run on the compactor thread
-  std::uint64_t seals = 0;        ///< staging buffers sealed for merging
-  std::uint64_t background_merges = 0;  ///< off-thread merges completed
-  std::uint64_t merge_discards = 0;  ///< merges invalidated (Clear/BulkLoad)
-  std::uint64_t seal_overflows = 0;  ///< threshold hits no level absorbed
+  // Compaction-engine counters (see docs/delta-levels.md). Every mode
+  // seals; background_merges and merge_discards stay zero unless the
+  // jobs run on the compactor thread.
+  bool background = false;        ///< jobs run on the compactor thread
+  std::uint64_t seals = 0;        ///< staging buffers sealed into L0 runs
+  std::uint64_t background_merges = 0;  ///< drains the thread completed
+  std::uint64_t merge_discards = 0;  ///< jobs invalidated (Clear/BulkLoad)
+  std::uint64_t seal_overflows = 0;  ///< seals that found the compactor
+                                     ///< behind (L0 already full)
   std::size_t sealed_ops = 0;     ///< ops across the currently sealed runs
 
-  // Leveled-delta counters (see docs/delta-levels.md; the l0_*/l1_*
-  // fields are zero on a flat store, where every seal merges straight
-  // into the base).
+  // Level counters. On a flat store every seal is drained at once, so
+  // l1_ops and l0_merges stay zero (L0 holds a run only while a drain
+  // on the compactor thread is behind).
   std::size_t l0_run_limit = 0;  ///< runs triggering a fold (0 = flat)
   std::size_t l0_runs = 0;       ///< sealed runs currently in L0
   std::size_t l0_ops = 0;        ///< staged ops across the L0 runs
   std::size_t l1_ops = 0;        ///< staged ops in the L1 run
   std::uint64_t l0_merges = 0;   ///< L0→L1 folds completed
-  std::uint64_t base_merges = 0;  ///< merges drained into / rebuilt the base
+  std::uint64_t base_merges = 0;  ///< drains into the base
   std::uint64_t merge_run_ops = 0;  ///< ops written building folded runs
   std::uint64_t base_rebuild_triples = 0;  ///< triples written by base merges
   std::uint64_t staged_ops_total = 0;  ///< ops ever staged (write-amp denom)
@@ -78,7 +81,7 @@ struct DeltaStats {
   std::size_t resident_bytes = 0;  ///< tracked runs + filters + active table
   std::uint64_t budget_seals = 0;  ///< seals forced by the budget
   std::uint64_t budget_folds = 0;  ///< L0→L1 folds forced by the budget
-  std::uint64_t budget_base_merges = 0;  ///< base merges forced by the budget
+  std::uint64_t budget_base_merges = 0;  ///< drains forced by the budget
 
   /// Bytes-of-merge-work per staged op:
   /// (merge_run_ops + base_rebuild_triples) / staged_ops_total. Leveling

@@ -462,6 +462,24 @@ std::shared_ptr<Hexastore> MergeOffline(const Hexastore* base,
   return fresh;
 }
 
+// In-place merge of one delta run into a base no generation references.
+// Pattern tombstones purge their base matches first (this is where the
+// bulk erase finally pays O(matches), amortized into the drain), then
+// the point tombstones (each an O(log + shift) point erase), then one
+// sorted merge of the staged inserts through the non-empty BulkLoad
+// path.
+void ApplyInPlace(Hexastore* base, const DeltaStore& run) {
+  for (Id p : run.pattern_erased_predicates()) {
+    for (const IdTriple& t : base->Match(IdPattern{0, p, 0})) {
+      base->Erase(t);
+    }
+  }
+  for (const IdTriple& t : run.SortedTombstones()) {
+    base->Erase(t);
+  }
+  base->BulkLoad(run.SortedInserts());
+}
+
 // The sole delta layer's shared owner within a generation, for the
 // zero-copy accessor fast path; null when the chain is empty or has
 // more than one layer.
@@ -576,7 +594,7 @@ DeltaHexastore::~DeltaHexastore() {
 
 void DeltaHexastore::RegisterMeters() {
   registry_.RegisterCounter("hexa_delta_compactions_total",
-                            "merges completed (drains, folds, base merges)",
+                            "compaction jobs completed (drains and folds)",
                             &meters_.compactions);
   registry_.RegisterCounter("hexa_delta_seals_total",
                             "staging buffers sealed into L0 runs",
@@ -588,12 +606,12 @@ void DeltaHexastore::RegisterMeters() {
                             "in-flight merges invalidated by Clear/BulkLoad",
                             &meters_.merge_discards);
   registry_.RegisterCounter("hexa_delta_seal_overflows_total",
-                            "threshold hits no level could absorb",
+                            "seals that found the compactor behind",
                             &meters_.seal_overflows);
   registry_.RegisterCounter("hexa_delta_l0_merges_total",
                             "L0 to L1 folds completed", &meters_.l0_merges);
   registry_.RegisterCounter("hexa_delta_base_merges_total",
-                            "merges drained into or rebuilding the base",
+                            "drains into the base (in place or rebuilt)",
                             &meters_.base_merges);
   registry_.RegisterCounter("hexa_delta_merge_run_ops_total",
                             "ops written while building folded runs",
@@ -765,9 +783,18 @@ std::size_t DeltaHexastore::MemoryBytes() const {
 }
 
 void DeltaHexastore::BulkLoad(const IdTripleVec& triples) {
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitForMergeLocked(lock);
-  CompactLocked();
+  std::lock_guard<std::mutex> lock(mu_);
+  // The load must leave nothing staged above the base, so the drain runs
+  // right here in either placement: waiting on the compactor instead
+  // could chase the seals of concurrent writers. The ticket bump voids
+  // an in-flight compactor job, whose inputs this drain consumes.
+  ++merge_ticket_;
+  if (!delta_->empty()) {
+    SealLocked();
+  }
+  if (!levels_.empty()) {
+    RunJobLocked({Job::kDrain}, /*lock=*/nullptr);
+  }
   if (base_exposed_) {
     // A generation reads the base: load into a rebuilt copy instead.
     auto fresh = std::make_shared<Hexastore>();
@@ -797,7 +824,7 @@ void DeltaHexastore::ClearLocked() {
   trace_.Record(obs::TraceEvent::kClear, "writer", 0, size_);
   ++merge_ticket_;
   levels_.clear();
-  drain_requested_ = false;
+  drained_seals_ = meters_.seals.Value();  // as a drain would have
   if (base_exposed_) {
     base_ = std::make_shared<Hexastore>();
     base_exposed_ = false;
@@ -823,7 +850,7 @@ void DeltaHexastore::ClearLocked() {
 }
 
 std::size_t DeltaHexastore::ErasePattern(const IdPattern& pattern) {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (pattern.bound_count() == 0) {
     // Erase everything == Clear.
     const std::size_t erased = size_;
@@ -831,45 +858,21 @@ std::size_t DeltaHexastore::ErasePattern(const IdPattern& pattern) {
     return erased;
   }
   if (pattern.has_p() && !pattern.has_s() && !pattern.has_o()) {
-    if (leveled()) {
-      // Leveled fast path: ONE merged scan counts the pattern's logical
-      // matches across every layer (O(matches + log)), then one pattern
-      // tombstone staged in the active buffer suppresses matching
-      // triples in every run and the base alike — no level is drained
-      // and the compactor is never waited on.
-      std::size_t matches = 0;
-      LayeredScan({base_.get(), chain_.data(), chain_.size()},
-                  IdPattern{0, pattern.p, 0},
-                  [&matches](const IdTriple&) { ++matches; });
-      EnsureDeltaWritableLocked();
-      delta_->StagePatternErase(pattern.p);
-      meters_.staged_ops_total.Add();
-      size_ -= matches;
-      dirty_ = true;
-      return matches;
-    }
-    // Flat fast path: one pattern-level tombstone instead of one point
-    // tombstone per match. Its exact erase count is defined against the
-    // merged base, so an in-flight background merge is drained first
-    // (bulk erases are rare; point ops never wait).
-    WaitForMergeLocked(lock);
-    // Count the base's contribution before staging (staging drops the
-    // point ops whose counts correct it).
-    const bool already = delta_->PatternErased(pattern.p);
-    const std::uint64_t base_matches =
-        already ? 0 : base_->CountMatches(IdPattern{0, pattern.p, 0});
+    // ONE merged scan counts the pattern's logical matches across every
+    // layer (O(matches + log)), then one pattern tombstone staged in the
+    // active buffer suppresses matching triples in every run and the
+    // base alike — no level is drained and the compactor is never waited
+    // on.
+    std::size_t matches = 0;
+    LayeredScan({base_.get(), chain_.data(), chain_.size()},
+                IdPattern{0, pattern.p, 0},
+                [&matches](const IdTriple&) { ++matches; });
     EnsureDeltaWritableLocked();
-    const DeltaStore::PatternEraseEffect effect =
-        delta_->StagePatternErase(pattern.p);
+    delta_->StagePatternErase(pattern.p);
     meters_.staged_ops_total.Add();
-    // Base triples already point-tombstoned were logically absent, and
-    // dropped staged inserts were logically present on top of the base.
-    const std::size_t erased =
-        static_cast<std::size_t>(base_matches) - effect.dropped_tombstones +
-        effect.dropped_inserts;
-    size_ -= erased;
+    size_ -= matches;
     dirty_ = true;
-    return erased;
+    return matches;
   }
   // General shape: the point-tombstone path, one staged op per match.
   const LayerRefs refs{base_.get(), chain_.data(), chain_.size()};
@@ -900,44 +903,19 @@ std::uint64_t DeltaHexastore::EstimateMatches(const IdPattern& pattern) const {
 
 void DeltaHexastore::Compact() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!background_) {
-    CompactLocked();
-    return;
-  }
-  if (!leveled()) {
-    // Drain what is staged *now* — at most the in-flight merge plus one
-    // seal of the current buffer. Bounded on purpose: waiting for
-    // delta_->empty() would chase ops concurrent writers keep staging
-    // and might never return under sustained load.
-    if (!levels_.empty()) {
-      AwaitOneMergeLocked(lock);
-    }
-    if (levels_.empty() && !delta_->empty()) {
-      SealLocked();
-    }
-    if (!levels_.empty()) {
-      AwaitOneMergeLocked(lock);
-    }
-    return;
-  }
-  // Leveled: seal the buffer and ask the compactor to merge all the way
-  // down to the base. Each wait completes one merge, so the loop makes
-  // global progress; under sustained concurrent writes it may chase new
-  // seals (same caveat as above, accepted for the explicit-drain path).
   if (!delta_->empty()) {
     SealLocked();
   }
-  const std::uint64_t ticket = merge_ticket_;
-  while (!levels_.empty() && merge_ticket_ == ticket) {
-    drain_requested_ = true;
-    work_cv_.notify_one();
-    AwaitOneMergeLocked(lock);
+  if (levels_.empty()) {
+    return;
   }
-  // Done (or the inputs were wiped): don't leave a stale full-depth
-  // drain request behind — it would turn the next routine seal into an
-  // immediate fold + base rebuild. A concurrent Compact still in its
-  // loop simply re-sets the flag on its next iteration.
-  drain_requested_ = false;
+  // Every run sealed so far must reach the base. The first drain picked
+  // from here on covers them all (an in-flight one may already), so the
+  // wait is bounded: later seals by concurrent writers are not chased.
+  const std::uint64_t target = meters_.seals.Value();
+  drain_target_ = target;
+  ScheduleJobsLocked();
+  drain_cv_.wait(lock, [this, target] { return drained_seals_ >= target; });
 }
 
 std::size_t DeltaHexastore::StagedOps() const {
@@ -1428,62 +1406,8 @@ void DeltaHexastore::MaybeCompactLocked() {
     trace_.Record(obs::TraceEvent::kBudgetTrigger, "seal", 0,
                   delta_->op_count());
   }
-  if (leveled()) {
-    if (levels_.l0.size() >= l0_run_limit_) {
-      // The compactor (or the fold below) is behind; the run is still
-      // absorbed — this only marks that L0 grew past its limit.
-      meters_.seal_overflows.Add();
-    }
-    SealLocked();
-    const bool over = OverBudgetLocked();
-    if (background_) {
-      if (over) {
-        // Budget pressure overrides l0_run_limit: ask the compactor to
-        // merge all the way down so memory actually comes back.
-        drain_requested_ = true;
-        meters_.budget_folds.Add();
-        trace_.Record(obs::TraceEvent::kBudgetTrigger, "fold");
-        work_cv_.notify_one();
-      }
-      return;  // the compactor folds and merges from here
-    }
-    // Synchronous leveling: fold on this thread when L0 is full (or the
-    // budget demands it), and pay the base rebuild only when L1 has
-    // earned it — or when memory pressure persists after the fold.
-    if (levels_.l0.size() >= l0_run_limit_ || over) {
-      if (over && levels_.l0.size() < l0_run_limit_) {
-        meters_.budget_folds.Add();
-        trace_.Record(obs::TraceEvent::kBudgetTrigger, "fold");
-      }
-      FoldLocked();
-    }
-    const bool base_due = L1MergeDueLocked();
-    if (levels_.l1 != nullptr && (base_due || OverBudgetLocked())) {
-      if (!base_due) {
-        meters_.budget_base_merges.Add();
-        trace_.Record(obs::TraceEvent::kBudgetTrigger, "base_merge");
-      }
-      ApplyRunToBaseLocked(*levels_.l1);
-      levels_.l1.reset();
-      meters_.base_merges.Add();
-      meters_.compactions.Add();
-      ++epoch_;
-      dirty_ = true;
-      RebuildChainLocked();
-    }
-    return;
-  }
-  if (!background_) {
-    CompactLocked();
-    return;
-  }
-  if (!levels_.empty()) {
-    // A merge is still in flight; keep staging (the buffer may overshoot
-    // the threshold) rather than stall the writer.
-    meters_.seal_overflows.Add();
-    return;
-  }
   SealLocked();
+  ScheduleJobsLocked();
 }
 
 void DeltaHexastore::SealLocked() {
@@ -1496,6 +1420,12 @@ void DeltaHexastore::SealLocked() {
   const bool timed = obs::MetricsEnabled();
   const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
   const std::uint64_t sealed_ops = delta_->op_count();
+  // The policy lets L0 hold l0_run_limit runs (flat: the one being
+  // drained) before it consumes them. A seal past that finds the
+  // compactor behind; the run is still absorbed.
+  if (levels_.l0.size() >= std::max<std::size_t>(l0_run_limit_, 1)) {
+    meters_.seal_overflows.Add();
+  }
   ConfigureRunLocked(*delta_, filter_bits_l0_);
   levels_.l0.push_back(std::move(delta_));
   delta_ = FreshDeltaLocked();
@@ -1510,305 +1440,198 @@ void DeltaHexastore::SealLocked() {
     meters_.seal_ns.Record(dur);
     trace_.Record(obs::TraceEvent::kSeal, "threshold", dur, sealed_ops);
   }
-  work_cv_.notify_one();
 }
 
-void DeltaHexastore::FoldLocked() {
+DeltaHexastore::Job DeltaHexastore::NextJobLocked() const {
+  if (levels_.empty()) {
+    return {};
+  }
+  // Flat drains after every seal; a requested drain goes first in
+  // either policy.
+  if (l0_run_limit_ == 0 || drain_target_ > drained_seals_) {
+    return {Job::kDrain};
+  }
+  const bool l0_full = levels_.l0.size() >= l0_run_limit_;
+  // L1 earns the base rebuild once it reaches l1_base_fraction of the
+  // base, and never before it holds one compact_threshold of ops.
+  bool l1_due = false;
+  if (levels_.l1 != nullptr) {
+    const std::size_t fraction = static_cast<std::size_t>(
+        l1_base_fraction_ * static_cast<double>(base_->size()));
+    l1_due = levels_.l1->op_count() >= std::max(compact_threshold_, fraction);
+  }
+  // Memory pressure overrides both triggers and pushes the hierarchy
+  // down one level per job: L1 drains into the base, or else L0 folds.
+  // Draining first keeps a writer that seals during every fold from
+  // growing L1 without bound.
+  if (OverBudgetLocked()) {
+    return levels_.l1 != nullptr ? Job{Job::kDrain, !l1_due}
+                                 : Job{Job::kFold, !l0_full};
+  }
+  if (l0_full) {
+    return {Job::kFold};
+  }
+  return l1_due ? Job{Job::kDrain} : Job{};
+}
+
+void DeltaHexastore::ScheduleJobsLocked() {
+  if (background_) {
+    work_cv_.notify_one();
+    return;
+  }
+  for (Job job = NextJobLocked(); job.kind != Job::kNone;
+       job = NextJobLocked()) {
+    RunJobLocked(job, /*lock=*/nullptr);
+  }
+}
+
+void DeltaHexastore::RunJobLocked(Job job, std::unique_lock<std::mutex>* lock) {
+  const bool drain = job.kind == Job::kDrain;
+  const bool on_thread = lock != nullptr;
+  // Pick: the job consumes every sealed run present now. While it
+  // builds off the mutex, writers only append newer L0 runs, and a
+  // Clear/BulkLoad bumps the ticket to void the result.
+  const std::uint64_t ticket = merge_ticket_;
+  const std::uint64_t sealed = meters_.seals.Value();
+  std::shared_ptr<const DeltaStore> l1 = levels_.l1;
+  std::vector<std::shared_ptr<const DeltaStore>> runs = levels_.l0;
+  const bool over = OverBudgetLocked();
+  // A drain rebuilds the base into a fresh store unless it runs inline
+  // over a base no generation references. Marking the base exposed keeps
+  // it immutable while the thread reads it: a concurrent Clear() swaps
+  // in a fresh object instead of clearing this one.
+  std::shared_ptr<const Hexastore> base;
+  if (drain && (on_thread || base_exposed_)) {
+    base_exposed_ = true;
+    base = base_;
+  }
+  if (on_thread) {
+    lock->unlock();
+  }
+
+  // Build. The runs are frozen and read only through pure accessors.
   const bool timed = obs::MetricsEnabled();
   const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
   std::uint64_t fold_ops = 0;
-  levels_.l1 = FoldRuns(levels_.l1, levels_.l0, &fold_ops);
-  levels_.l0.clear();
-  if (levels_.l1 != nullptr) {
-    // Idempotent for an adopted single run (already filtered/tracked at
-    // its seal); a freshly merged run gets the colder L1 bit budget.
-    ConfigureRunLocked(*levels_.l1, filter_bits_l1_);
+  std::shared_ptr<const DeltaStore> folded = FoldRuns(l1, runs, &fold_ops);
+  std::shared_ptr<Hexastore> fresh;
+  std::uint64_t base_written = 0;
+  if (!drain) {
+    // The new L1 run gets the colder filter budget, except under memory
+    // pressure (the drop is counted at commit). TrackMemory is
+    // idempotent, covering an adopted single run; a voided result
+    // balances through the run's destructor. The thread also pre-builds
+    // the read caches while the run is private, so no reader pays for
+    // them; inline, readers build them lazily instead of stalling the
+    // writer.
+    if (filter_bits_l1_ > 0 && !over) {
+      folded->EnableFilter(filter_bits_l1_);
+    }
+    if (on_thread) {
+      folded->Freeze();
+    }
+    folded->TrackMemory(tracker_);
+  } else if (base != nullptr) {
+    fresh = MergeOffline(base.get(), *folded);
+    base_written = fresh->size();
+  } else {
+    ApplyInPlace(base_.get(), *folded);
+    base_written = folded->op_count();
+  }
+  const std::uint64_t dur = timed ? obs::NowNanos() - t0 : 0;
+  if (on_thread) {
+    lock->lock();
+    if (ticket != merge_ticket_) {
+      meters_.merge_discards.Add();
+      return;
+    }
+  }
+
+  // Commit.
+  const char* where = on_thread ? "background" : "sync";
+  levels_.l0.erase(
+      levels_.l0.begin(),
+      levels_.l0.begin() + static_cast<std::ptrdiff_t>(runs.size()));
+  if (drain) {
+    levels_.l1.reset();
+    if (fresh != nullptr) {
+      base_ = std::move(fresh);
+      base_exposed_ = false;
+    }
+    meters_.base_rebuild_triples.Add(base_written);
+    meters_.base_merges.Add();
+    if (on_thread) {
+      meters_.background_merges.Add();
+    }
+    if (leveled() && !runs.empty()) {
+      meters_.l0_merges.Add();  // folded its L0 runs onto L1 on the way
+    }
+    if (job.budget) {
+      meters_.budget_base_merges.Add();
+      trace_.Record(obs::TraceEvent::kBudgetTrigger, "base_merge");
+    }
+    drained_seals_ = sealed;
+    if (timed) {
+      meters_.base_merge_ns.Record(dur);
+      trace_.Record(obs::TraceEvent::kBaseMerge, where, dur, base_written);
+    }
+  } else {
+    levels_.l1 = folded;
+    if (filter_bits_l1_ > 0 && over) {
+      meters_.filters_dropped.Add();
+      trace_.Record(obs::TraceEvent::kFilterDrop, "over_budget", 0,
+                    folded->op_count());
+    }
+    meters_.l0_merges.Add();
+    if (job.budget) {
+      meters_.budget_folds.Add();
+      trace_.Record(obs::TraceEvent::kBudgetTrigger, "fold");
+    }
+    if (timed) {
+      meters_.fold_ns.Record(dur);
+      trace_.Record(obs::TraceEvent::kFold, where, dur, fold_ops);
+    }
   }
   meters_.merge_run_ops.Add(fold_ops);
-  meters_.l0_merges.Add();
   meters_.compactions.Add();
   ++epoch_;
   dirty_ = true;
   RebuildChainLocked();
-  if (timed) {
-    const std::uint64_t dur = obs::NowNanos() - t0;
-    meters_.fold_ns.Record(dur);
-    trace_.Record(obs::TraceEvent::kFold, "sync", dur, fold_ops);
-  }
-}
-
-bool DeltaHexastore::L1MergeDueLocked() const {
-  if (levels_.l1 == nullptr) {
-    return false;
-  }
-  const std::size_t fraction = static_cast<std::size_t>(
-      l1_base_fraction_ * static_cast<double>(base_->size()));
-  return levels_.l1->op_count() >= std::max(compact_threshold_, fraction);
-}
-
-bool DeltaHexastore::HasCompactorWorkLocked() const {
-  if (levels_.empty()) {
-    return false;
-  }
-  if (!leveled()) {
-    return true;  // flat: the single sealed run is always mergeable
-  }
-  if (!levels_.l0.empty() &&
-      (levels_.l0.size() >= l0_run_limit_ || drain_requested_)) {
-    return true;
-  }
-  return levels_.l1 != nullptr && (L1MergeDueLocked() || drain_requested_);
-}
-
-void DeltaHexastore::ApplyRunToBaseLocked(const DeltaStore& run) {
-  const bool timed = obs::MetricsEnabled();
-  const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
-  if (!base_exposed_) {
-    // The base never escaped the mutex: drain in place. Pattern
-    // tombstones purge their base matches first (this is where the bulk
-    // erase finally pays O(matches), amortized into the drain), then the
-    // point tombstones (each an O(log + shift) point erase), then one
-    // sorted merge of the staged inserts through the non-empty BulkLoad
-    // path.
-    for (Id p : run.pattern_erased_predicates()) {
-      for (const IdTriple& t : base_->Match(IdPattern{0, p, 0})) {
-        base_->Erase(t);
-      }
-    }
-    for (const IdTriple& t : run.SortedTombstones()) {
-      base_->Erase(t);
-    }
-    base_->BulkLoad(run.SortedInserts());
-    meters_.base_rebuild_triples.Add(run.op_count());
-  } else {
-    // A generation may still read the base: rebuild the merged state
-    // into a fresh store and swap, leaving the old one untouched for
-    // its readers.
-    base_ = MergeOffline(base_.get(), run);
-    base_exposed_ = false;
-    meters_.base_rebuild_triples.Add(base_->size());
-  }
-  if (timed) {
-    const std::uint64_t dur = obs::NowNanos() - t0;
-    meters_.base_merge_ns.Record(dur);
-    trace_.Record(obs::TraceEvent::kBaseMerge, "sync", dur, run.op_count());
-  }
-}
-
-void DeltaHexastore::WaitForMergeLocked(std::unique_lock<std::mutex>& lock) {
-  if (!background_) {
-    return;  // no compactor; sync callers collapse the levels inline
-  }
-  drain_requested_ = true;  // leveled compactor: merge all the way down
-  work_cv_.notify_one();
-  drain_cv_.wait(lock, [this] { return levels_.empty(); });
-  // The hierarchy is empty: the request is satisfied. Leaving the flag
-  // set would make the compactor treat the very next seal as a
-  // full-depth drain and pay a spurious base rebuild.
-  drain_requested_ = false;
-}
-
-void DeltaHexastore::AwaitOneMergeLocked(std::unique_lock<std::mutex>& lock) {
-  // Bounded wait: one merge completing (or a Clear/BulkLoad wiping the
-  // inputs, which bumps the ticket) satisfies it — later seals by
-  // concurrent writers are deliberately not chased.
-  const std::uint64_t target = meters_.compactions.Value() + 1;
-  const std::uint64_t ticket = merge_ticket_;
-  drain_cv_.wait(lock, [this, target, ticket] {
-    return meters_.compactions.Value() >= target || merge_ticket_ != ticket;
-  });
-}
-
-void DeltaHexastore::CompactLocked() {
-  // Synchronous full drain: collapse the whole hierarchy (L1, L0 runs,
-  // active) into the base. Background callers first wait for the
-  // compactor (WaitForMergeLocked), so levels are normally empty there;
-  // the ticket bump invalidates any merge that still races this.
-  if (delta_->empty() && levels_.empty()) {
+  drain_cv_.notify_all();
+  if (!on_thread) {
     return;
   }
-  ++merge_ticket_;
-  std::shared_ptr<const DeltaStore> all;
-  if (levels_.empty()) {
-    all = delta_;
-  } else {
-    std::uint64_t fold_ops = 0;
-    std::shared_ptr<const DeltaStore> folded =
-        FoldRuns(levels_.l1, levels_.l0, &fold_ops);
-    if (!delta_->empty()) {
-      std::shared_ptr<DeltaStore> merged =
-          MergeDeltaLayers(*folded, *delta_);
-      fold_ops += merged->op_count();
-      folded = std::move(merged);
-    }
-    meters_.merge_run_ops.Add(fold_ops);
-    all = std::move(folded);
-  }
-  ApplyRunToBaseLocked(*all);
-  levels_.clear();
-  drain_requested_ = false;
-  if (delta_exposed_) {
-    delta_ = FreshDeltaLocked();
-    delta_exposed_ = false;
-  } else {
-    delta_->Clear();
-  }
-  RebuildChainLocked();
-  published_active_ops_ = 0;
-  meters_.compactions.Add();
-  meters_.base_merges.Add();
-  ++epoch_;
-  size_ = base_->size();
-  levels_size_ = size_;
-  dirty_ = true;
-  drain_cv_.notify_all();
+  // Publish so lock-free readers advance. The staging buffer is
+  // re-included only if a previous publication exposed it — dropping it
+  // would make published views non-monotonic; including it otherwise
+  // would force a needless copy-on-write.
+  const bool include_active = published_active_ops_ > 0;
+  PublishLocked(include_active ? size_ : levels_size_, include_active);
+  // Destroy superseded generations, the old base and this job's inputs
+  // outside the mutex: freeing them under mu_ would stall writers for
+  // the whole teardown.
+  auto garbage = gate_.TakeReclaimed();
+  lock->unlock();
+  garbage.clear();
+  runs.clear();
+  l1.reset();
+  folded.reset();
+  base.reset();
+  lock->lock();
 }
 
 void DeltaHexastore::MergerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    work_cv_.wait(lock, [this] { return stop_ || HasCompactorWorkLocked(); });
+    Job job;
+    work_cv_.wait(lock, [this, &job] {
+      job = NextJobLocked();
+      return stop_ || job.kind != Job::kNone;
+    });
     if (stop_) {
       return;
     }
-    const std::uint64_t ticket = merge_ticket_;
-    const bool fold_job =
-        leveled() && !levels_.l0.empty() &&
-        (levels_.l0.size() >= l0_run_limit_ || drain_requested_);
-    if (fold_job) {
-      // Fold every current L0 run (+ the L1 run) into a fresh L1 run,
-      // off the mutex: the runs are frozen and the fold reads them only
-      // through pure accessors.
-      std::shared_ptr<const DeltaStore> l1 = levels_.l1;
-      std::vector<std::shared_ptr<const DeltaStore>> runs = levels_.l0;
-      const bool over = OverBudgetLocked();
-      lock.unlock();
-      const bool timed = obs::MetricsEnabled();
-      const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
-      std::uint64_t fold_ops = 0;
-      std::shared_ptr<const DeltaStore> folded =
-          FoldRuns(l1, runs, &fold_ops);
-      // Arm the folded run's L1 filter (skipped under budget pressure —
-      // the drop is counted at commit), then pre-build its lazy read
-      // caches and the filter while it is still thread-private: the
-      // post-commit publish freezes every run under mu_, and paying an
-      // O(L1) cache build there would stall writers for the whole fold
-      // size. TrackMemory is idempotent, covering the adopted-single-run
-      // case; a discarded result balances through the run's destructor.
-      if (filter_bits_l1_ > 0 && !over) {
-        folded->EnableFilter(filter_bits_l1_);
-      }
-      folded->Freeze();
-      folded->TrackMemory(tracker_);
-      const std::uint64_t fold_dur = timed ? obs::NowNanos() - t0 : 0;
-      lock.lock();
-      if (filter_bits_l1_ > 0 && over) {
-        meters_.filters_dropped.Add();
-        trace_.Record(obs::TraceEvent::kFilterDrop, "over_budget", 0,
-                      fold_ops);
-      }
-      if (ticket != merge_ticket_) {
-        // Clear/BulkLoad/CompactLocked replaced the inputs mid-fold.
-        meters_.merge_discards.Add();
-        drain_cv_.notify_all();
-        continue;
-      }
-      // Writers may have sealed more runs meanwhile; they are strictly
-      // newer than every consumed run, so drop exactly the consumed
-      // oldest prefix.
-      levels_.l0.erase(levels_.l0.begin(),
-                       levels_.l0.begin() +
-                           static_cast<std::ptrdiff_t>(runs.size()));
-      levels_.l1 = std::move(folded);
-      meters_.merge_run_ops.Add(fold_ops);
-      meters_.l0_merges.Add();
-      meters_.compactions.Add();
-      if (timed) {
-        meters_.fold_ns.Record(fold_dur);
-        trace_.Record(obs::TraceEvent::kFold, "background", fold_dur,
-                      fold_ops);
-      }
-      ++epoch_;
-      dirty_ = true;
-      RebuildChainLocked();
-      const bool include_active = published_active_ops_ > 0;
-      PublishLocked(include_active ? size_ : levels_size_, include_active);
-      drain_cv_.notify_all();
-      // Destroy superseded generations and this fold's input references
-      // outside the mutex: freeing a large run under mu_ would stall
-      // writers for the whole teardown.
-      auto garbage = gate_.TakeReclaimed();
-      lock.unlock();
-      garbage.clear();
-      runs.clear();
-      l1.reset();
-      lock.lock();
-      continue;
-    }
-    // Base merge: the single sealed run (flat) or the L1 run (leveled).
-    std::shared_ptr<const DeltaStore> input =
-        leveled() ? levels_.l1
-                  : (levels_.l0.empty() ? nullptr : levels_.l0.front());
-    if (input == nullptr) {
-      drain_requested_ = false;
-      continue;
-    }
-    // Pin the inputs, then merge without the mutex: the run is closed to
-    // writers, and marking the base exposed here keeps it immutable
-    // too — a concurrent Clear() must swap in a fresh object rather than
-    // clearing the one this thread is scanning.
-    base_exposed_ = true;
-    std::shared_ptr<const Hexastore> base = base_;
-    lock.unlock();
-    const bool timed = obs::MetricsEnabled();
-    const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
-    std::shared_ptr<Hexastore> fresh = MergeOffline(base.get(), *input);
-    const std::uint64_t merge_dur = timed ? obs::NowNanos() - t0 : 0;
-    lock.lock();
-    if (ticket != merge_ticket_) {
-      // Clear/BulkLoad replaced the inputs mid-merge; the result
-      // describes a state that no longer exists.
-      meters_.merge_discards.Add();
-      drain_cv_.notify_all();
-      continue;
-    }
-    base_ = std::move(fresh);
-    if (leveled()) {
-      levels_.l1.reset();
-    } else {
-      levels_.l0.clear();
-      levels_size_ = base_->size();
-    }
-    if (levels_.empty()) {
-      drain_requested_ = false;
-    }
-    meters_.base_rebuild_triples.Add(base_->size());
-    meters_.compactions.Add();
-    meters_.background_merges.Add();
-    meters_.base_merges.Add();
-    if (timed) {
-      meters_.base_merge_ns.Record(merge_dur);
-      trace_.Record(obs::TraceEvent::kBaseMerge, "background", merge_dur,
-                    base_->size());
-    }
-    ++epoch_;
-    dirty_ = true;
-    RebuildChainLocked();
-    // Publish the post-merge generation so lock-free readers advance.
-    // The staging buffer is re-included only if a previous publication
-    // exposed it — dropping it would make published views non-monotonic;
-    // including it otherwise would force a needless copy-on-write.
-    const bool include_active = published_active_ops_ > 0;
-    PublishLocked(include_active ? size_ : levels_size_, include_active);
-    drain_cv_.notify_all();
-    // As in the fold branch: drop the old base, the merged run and any
-    // reclaimed generations without holding the mutex.
-    auto garbage = gate_.TakeReclaimed();
-    lock.unlock();
-    garbage.clear();
-    base.reset();
-    input.reset();
-    lock.lock();
+    RunJobLocked(job, &lock);
   }
 }
 

@@ -4,22 +4,33 @@
 //
 // Write path: Insert/Erase stage O(1)-ish edits in the active delta
 // instead of mutating all six sorted views of the base (the §4.2 update
-// deficiency). What happens when the buffer reaches
-// `DeltaOptions::compact_threshold` depends on the configuration:
+// deficiency). When the buffer reaches `DeltaOptions::compact_threshold`
+// it is sealed (two pointer swaps) into an immutable **L0 run**, and one
+// compaction engine decides what merges next. Its policy picks one job
+// at a time:
 //
-//   * flat, synchronous (the default): the buffer drains into the base
-//     in one sorted BulkLoad-style merge on the writer thread.
-//   * flat, background: the buffer is sealed (two pointer swaps) and a
-//     dedicated compactor thread merges it into a fresh base while
-//     writers keep staging into a new buffer.
-//   * leveled (`l0_run_limit > 0`, either mode): the sealed buffer
-//     becomes an immutable **L0 run** and nothing merges yet. Once
-//     `l0_run_limit` runs accumulate they fold into a single **L1 run**
-//     (cost proportional to the staged ops), and only when L1 reaches
-//     `l1_base_fraction` of the base does the expensive L1→base merge
-//     rebuild the permutation indexes — so drain cost is bounded and
-//     write amplification drops with the run limit (see
-//     docs/delta-levels.md for the full policy).
+//   * flat (`l0_run_limit == 0`, the default): every seal is followed
+//     by a full **drain** of the sealed runs into the base (one sorted
+//     BulkLoad-style merge).
+//   * leveled (`l0_run_limit > 0`): nothing merges at the seal. Once
+//     `l0_run_limit` runs accumulate they **fold** into a single
+//     **L1 run** (cost proportional to the staged ops), and only when
+//     L1 reaches `l1_base_fraction` of the base does a drain rebuild
+//     the permutation indexes — so drain cost is bounded and write
+//     amplification drops with the run limit.
+//
+// Explicit drains (Compact) ask either policy for a full drain, and
+// memory pressure makes a leveled store fold and drain early. The jobs
+// run in one of two placements:
+//
+//   * inline (the default): on the writer, right after the seal, under
+//     the store mutex — applying a run to the base in place when no
+//     generation references it.
+//   * compactor thread (`background_compaction`): off the mutex, while
+//     writers keep sealing new L0 runs; the result commits only if no
+//     Clear/BulkLoad replaced its inputs meanwhile.
+//
+// docs/delta-levels.md specifies the policy.
 //
 // Read path: Contains, Scan and the merged accessor views always expose
 // the consistent union across the whole chain
@@ -38,8 +49,8 @@
 //     pointer (see generation.h) without ever touching the store mutex.
 //     It may trail the live store by the ops staged since the last
 //     publication (a publication happens at every snapshot/merged-view
-//     exposure, every background-merge completion, and Clear/BulkLoad in
-//     background mode).
+//     exposure, every job the compactor thread commits, and Clear/BulkLoad
+//     when that thread runs).
 //
 // Either handle pins its generation for its whole lifetime — a BGP
 // evaluated against a Snapshot (it is a read-only TripleStore) plans and
@@ -81,15 +92,14 @@ inline constexpr std::size_t kDeltaCompactThresholdDefault = 64 * 1024;
 
 /// Construction-time configuration of a DeltaHexastore.
 struct DeltaOptions {
-  /// Staged operations that trigger a drain (a seal, in background or
-  /// leveled mode).
+  /// Staged operations that seal the active buffer into an L0 run.
   std::size_t compact_threshold = kDeltaCompactThresholdDefault;
-  /// Merge sealed runs on a dedicated compactor thread instead of
-  /// draining on the writer thread at the threshold.
+  /// Run the compaction jobs on a dedicated compactor thread instead of
+  /// inline on the writer right after each seal.
   bool background_compaction = false;
   /// Leveled deltas: number of sealed L0 runs that triggers an L0→L1
-  /// fold. 0 disables leveling (every seal merges straight into the
-  /// base, the pre-level behavior).
+  /// fold. 0 disables leveling ("flat": every seal is followed by a
+  /// full drain, so every seal merges straight into the base).
   std::size_t l0_run_limit = 0;
   /// Leveled deltas: L1 merges into the base once its op count reaches
   /// this fraction of the base size (but never before it holds at least
@@ -98,10 +108,10 @@ struct DeltaOptions {
   /// rather than silently degrading to always-base-merge.
   double l1_base_fraction = 0.25;
   /// Hard budget for tracked delta memory (sealed runs + their filters +
-  /// the active op table). 0 = unlimited. When tracked bytes cross the
-  /// budget the store seals/folds/base-merges regardless of
-  /// l0_run_limit, and stops building filters for new runs until back
-  /// under.
+  /// the active op table). 0 = unlimited. While tracked bytes exceed the
+  /// budget the store seals early, folds and drains regardless of
+  /// l0_run_limit and l1_base_fraction, and stops building filters for
+  /// new runs until back under.
   std::size_t memory_budget_bytes = 0;
   /// Prefix-filter sizing for sealed L0 runs, in bits per indexed key
   /// class (Monkey-style: the colder, bigger L1 run gets half). 0
@@ -112,8 +122,8 @@ struct DeltaOptions {
   std::size_t trace_capacity = 1024;
 
   /// Clamps every field to its documented domain in place. Returns an
-  /// empty string when nothing was wrong, else a description of the
-  /// first repaired field (the DeltaHexastore constructor logs it).
+  /// empty string when nothing was wrong, else every repair joined by
+  /// "; " (the DeltaHexastore constructor logs it).
   std::string Normalize();
 };
 
@@ -140,9 +150,9 @@ class DeltaHexastore : public TripleStore {
 
   // -- TripleStore interface ----------------------------------------------
 
-  /// Stages the insert in the delta; auto-compacts (or seals, in
-  /// background/leveled mode) at the threshold. O(1) except at a
-  /// synchronous drain boundary.
+  /// Stages the insert in the delta; seals at the threshold and runs
+  /// the compaction jobs that fall due (inline placement) or wakes the
+  /// compactor. O(1) except where an inline job runs.
   bool Insert(const IdTriple& t) override;
   /// Stages a tombstone (or cancels a staged insert). Same cost model as
   /// Insert.
@@ -168,18 +178,16 @@ class DeltaHexastore : public TripleStore {
 
   /// Erases every triple matching `pattern`; returns how many logical
   /// triples were removed. Fast paths: the all-wildcard pattern is a
-  /// Clear, and a predicate-only pattern (?, p, ?) stages ONE
-  /// pattern-level tombstone instead of one per match. Other shapes fall
-  /// back to staging a point tombstone per match. In flat background
-  /// mode the predicate fast path drains an in-flight merge first (its
-  /// exact erase count is defined against the merged base); in leveled
-  /// mode it counts by one merged scan instead and never waits on the
-  /// compactor.
+  /// Clear, and a predicate-only pattern (?, p, ?) counts its matches by
+  /// one merged scan and stages ONE pattern-level tombstone instead of
+  /// one per match (it never waits on the compactor). Other shapes fall
+  /// back to staging a point tombstone per match.
   std::size_t ErasePattern(const IdPattern& pattern);
 
-  /// Compacts every staged layer, then merges `triples` straight into
-  /// the base via its sorted BulkLoad path. Blocks until any in-flight
-  /// background merge has drained.
+  /// Drains every staged layer into the base on the calling thread (an
+  /// in-flight compactor job is invalidated, not waited for), then
+  /// merges `triples` straight into the base via its sorted BulkLoad
+  /// path.
   void BulkLoad(const IdTripleVec& triples) override;
 
   /// Removes all triples (base, sealed runs and staged); an in-flight
@@ -188,19 +196,17 @@ class DeltaHexastore : public TripleStore {
 
   // -- Delta management ---------------------------------------------------
 
-  /// Drains every staged op into the base. Synchronous mode: the whole
-  /// hierarchy (L1, L0 runs, active) collapses in one sorted merge on
-  /// this thread. Background mode: seals the staging buffer and blocks
-  /// until the compactor has merged everything present at the call
-  /// (writers on other threads stay unblocked throughout; their
-  /// concurrent seals may leave new runs behind). No-op when nothing is
-  /// staged.
+  /// Drains every op staged at the call into the base: seals the
+  /// staging buffer and runs (inline) or waits for (compactor thread)
+  /// one full drain. The wait is bounded even under sustained concurrent
+  /// writes: their later seals may leave new runs behind and are not
+  /// chased. No-op when nothing is staged.
   void Compact();
 
   /// Operations staged and not yet merged into the base (active plus
   /// every sealed run).
   std::size_t StagedOps() const;
-  /// Merges (synchronous drains, background merges and L0→L1 folds)
+  /// Compaction jobs (drains into the base and L0→L1 folds) completed
   /// since construction.
   std::uint64_t CompactionCount() const;
   std::size_t compact_threshold() const { return compact_threshold_; }
@@ -378,7 +384,7 @@ class DeltaHexastore : public TripleStore {
   // Publication protocol: internal reads happen under mu_, so they are
   // ordered against writers by the mutex alone. The moment a generation
   // escapes — GetSnapshot, a MergedList accessor, base(), a seal, or a
-  // background-merge completion — the objects it references are marked
+  // compactor-thread job's commit — the objects it references are marked
   // exposed and NEVER mutated in place again: writers clone the delta
   // (copy-on-write) and merges rebuild-and-swap the base. Lock-free
   // readers therefore only ever dereference frozen objects; the epoch
@@ -398,8 +404,8 @@ class DeltaHexastore : public TripleStore {
   // Rebuilds the cached bottom-up layer chain (L1, L0 runs, active)
   // after any pointer in it changed.
   void RebuildChainLocked();
-  // Threshold trigger: synchronous drain / leveled seal sequence, or
-  // seal + wake the compactor. Also fires on memory-budget pressure.
+  // Threshold trigger: seals the staging buffer at compact_threshold (or
+  // early under memory pressure), then schedules the due jobs.
   void MaybeCompactLocked();
   // True when a budget is set and tracked run memory plus the active
   // table exceeds it.
@@ -409,34 +415,31 @@ class DeltaHexastore : public TripleStore {
   // Arms the filter on a store being sealed/adopted as a run (or counts
   // a drop under budget pressure) and registers it with the tracker.
   void ConfigureRunLocked(const DeltaStore& run, std::size_t bits_per_key);
-  // Synchronous full drain: collapses L1 + L0 runs + active into the
-  // base (in place when no generation references the base, otherwise
-  // rebuild-and-swap). Invalidates any in-flight background merge.
-  void CompactLocked();
   // Closes the staging buffer as the newest L0 run and opens a fresh
   // one.
   void SealLocked();
-  // Folds every L0 run (+ current L1) into a fresh L1 run, on this
-  // thread (synchronous leveled mode).
-  void FoldLocked();
-  // Applies one collapsed run to the base: in place when the base never
-  // escaped the mutex, otherwise rebuild-and-swap.
-  void ApplyRunToBaseLocked(const DeltaStore& run);
-  // True when L1 is big enough (vs the base) to pay the base rebuild.
-  bool L1MergeDueLocked() const;
-  // True when the compactor has a job to pick up.
-  bool HasCompactorWorkLocked() const;
-  // Blocks until no sealed run is pending (background mode); sets the
-  // drain request so the leveled compactor merges all the way down. May
-  // chase re-seals by concurrent writers; used only by the rare bulk
-  // paths that need a sealed-free state (BulkLoad).
-  void WaitForMergeLocked(std::unique_lock<std::mutex>& lock);
-  // Blocks until one more merge completes or its inputs are wiped —
-  // bounded even under sustained concurrent writes (Compact's wait).
-  void AwaitOneMergeLocked(std::unique_lock<std::mutex>& lock);
+
+  // One compaction job. Either kind consumes every sealed run present
+  // when it is picked: a fold turns them (L1 included) into a fresh L1
+  // run, a drain merges them into the base.
+  struct Job {
+    enum Kind { kNone, kFold, kDrain };
+    Kind kind = kNone;
+    bool budget = false;  // only memory pressure made it due
+  };
+  // The compaction policy, for every mode: the next job due, if any.
+  Job NextJobLocked() const;
+  // Runs one job. With `lock` (the compactor thread) the job builds off
+  // the mutex and commits only if no Clear/BulkLoad bumped the ticket
+  // meanwhile, then publishes; without it (inline) it holds the mutex
+  // throughout.
+  void RunJobLocked(Job job, std::unique_lock<std::mutex>* lock);
+  // The placement decision: runs every due job inline, or wakes the
+  // compactor thread.
+  void ScheduleJobsLocked();
   // Clear body (shared by Clear and the all-wildcard ErasePattern).
   void ClearLocked();
-  // Compactor thread body (owns no lock between merges).
+  // Compactor thread body (owns no lock while a job builds).
   void MergerLoop();
   // Registers every meter, the filter counters and the gate counters
   // into registry_ (constructor only; no lock needed).
@@ -479,17 +482,23 @@ class DeltaHexastore : public TripleStore {
   std::size_t size_ = 0;
   // Logical triples in base ∪ levels (size_ minus the active buffer's
   // net contribution): the exact size of a publication that excludes
-  // the staging buffer. Updated at every seal, drain and Clear.
+  // the staging buffer. Updated at every seal, Clear and BulkLoad; a
+  // job only moves ops between the levels and the base.
   std::size_t levels_size_ = 0;
   std::uint64_t epoch_ = 0;
 
-  // Background-compaction machinery.
+  // Compaction machinery.
   std::thread merger_;
-  std::condition_variable work_cv_;   // compactor waits for a seal
-  std::condition_variable drain_cv_;  // waiters wait for levels_.empty()
+  std::condition_variable work_cv_;   // compactor waits for a due job
+  std::condition_variable drain_cv_;  // Compact waits for its drain
   bool stop_ = false;
-  bool drain_requested_ = false;  // leveled compactor: merge all the way down
-  std::uint64_t merge_ticket_ = 0;  // bumped to invalidate in-flight merges
+  // Drains are tracked by the seal count they cover: the last drain (or
+  // Clear) covered every run up to seal drained_seals_, and Compact asks
+  // for one covering drain_target_ seals — owed while the target is
+  // ahead.
+  std::uint64_t drain_target_ = 0;
+  std::uint64_t drained_seals_ = 0;
+  std::uint64_t merge_ticket_ = 0;  // bumped to invalidate in-flight jobs
 
   // Filter + budget accounting.
   std::shared_ptr<MemoryTracker> tracker_;
@@ -502,7 +511,7 @@ class DeltaHexastore : public TripleStore {
   // toggle (via ScopedTimer). Mutable because const read paths
   // (Contains, AcquireReadHandle) time themselves.
   struct Meters {
-    obs::Counter compactions;       // every merge (drain, bg merge, fold)
+    obs::Counter compactions;       // every job (drain or fold)
     obs::Counter seals;
     obs::Counter background_merges;
     obs::Counter merge_discards;

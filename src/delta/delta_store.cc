@@ -144,8 +144,7 @@ bool DeltaStore::StageErase(const IdTriple& t, bool base_present) {
   return true;
 }
 
-DeltaStore::PatternEraseEffect DeltaStore::StagePatternErase(Id p) {
-  PatternEraseEffect effect;
+void DeltaStore::StagePatternErase(Id p) {
   // Point ops on the predicate are subsumed: staged inserts die with the
   // pattern, tombstones become redundant (keeping them would violate the
   // "tombstone predicate never pattern-erased" invariant).
@@ -154,16 +153,13 @@ DeltaStore::PatternEraseEffect DeltaStore::StagePatternErase(Id p) {
       slot.state = SlotState::kDead;
       if (slot.op == DeltaOp::kInsert) {
         --inserts_;
-        ++effect.dropped_inserts;
       } else {
         --tombstones_;
-        ++effect.dropped_tombstones;
       }
     }
   }
-  effect.newly_added = SortedInsert(&pattern_preds_, p);
+  SortedInsert(&pattern_preds_, p);
   InvalidateCaches();
-  return effect;
 }
 
 DeltaStore::Presence DeltaStore::Lookup(const IdTriple& t) const {

@@ -123,19 +123,11 @@ class DeltaStore {
   /// the triple (mirrors TripleStore::Erase).
   bool StageErase(const IdTriple& t, bool base_present);
 
-  /// Bookkeeping of one pattern erase: how many staged point ops it
-  /// subsumed (dropped from the table) and whether the predicate was new.
-  struct PatternEraseEffect {
-    std::size_t dropped_inserts = 0;
-    std::size_t dropped_tombstones = 0;
-    bool newly_added = false;
-  };
-
   /// Stages a predicate-level pattern tombstone: every base triple with
   /// predicate `p` becomes logically absent, and every staged point op
   /// with that predicate is dropped (inserts erased, tombstones
   /// subsumed). O(op table), independent of how many base triples match.
-  PatternEraseEffect StagePatternErase(Id p);
+  void StagePatternErase(Id p);
 
   /// True iff predicate `p` is pattern-tombstoned.
   bool PatternErased(Id p) const { return SortedContains(pattern_preds_, p); }

@@ -102,19 +102,29 @@ std::shared_ptr<const DeltaStore> FoldRuns(
     const std::shared_ptr<const DeltaStore>& l1,
     const std::vector<std::shared_ptr<const DeltaStore>>& l0_oldest_first,
     std::uint64_t* merged_ops_out) {
-  std::shared_ptr<const DeltaStore> folded = l1;
-  for (const auto& run : l0_oldest_first) {
-    if (folded == nullptr) {
-      folded = run;  // single-run fold over nothing: adopt as-is
-      continue;
-    }
-    std::shared_ptr<DeltaStore> next = MergeDeltaLayers(*folded, *run);
-    if (merged_ops_out != nullptr) {
-      *merged_ops_out += next->op_count();
-    }
-    folded = std::move(next);
+  // Merge adjacent layers pairwise, bottom-up, until one is left. The
+  // layer algebra is associative, and this balanced order writes each op
+  // O(log runs) times — folding onto one growing run would rewrite it
+  // once per run above it. A lone layer is adopted as-is.
+  std::vector<std::shared_ptr<const DeltaStore>> layers;
+  if (l1 != nullptr) {
+    layers.push_back(l1);
   }
-  return folded;
+  layers.insert(layers.end(), l0_oldest_first.begin(), l0_oldest_first.end());
+  while (layers.size() > 1) {
+    std::vector<std::shared_ptr<const DeltaStore>> merged;
+    for (std::size_t i = 0; i + 1 < layers.size(); i += 2) {
+      merged.push_back(MergeDeltaLayers(*layers[i], *layers[i + 1]));
+      if (merged_ops_out != nullptr) {
+        *merged_ops_out += merged.back()->op_count();
+      }
+    }
+    if (layers.size() % 2 == 1) {
+      merged.push_back(layers.back());
+    }
+    layers = std::move(merged);
+  }
+  return layers.empty() ? nullptr : layers.front();
 }
 
 }  // namespace hexastore

@@ -74,8 +74,9 @@ std::shared_ptr<DeltaStore> MergeDeltaLayers(const DeltaStore& lower,
                                              const DeltaStore& upper);
 
 /// Folds L0 runs (oldest-first, as stored in DeltaLevels::l0) onto an
-/// optional L1 run into the replacement L1 run. When the fold is a
-/// single run over no L1 the run is returned as-is (no copy).
+/// optional L1 run into one run, merging adjacent layers pairwise in a
+/// balanced order. When the fold is a single run over no L1 the run is
+/// returned as-is (no copy); with no layers at all, null.
 /// `merged_ops_out`, when non-null, accumulates the staged ops written
 /// by the pairwise merges (write-amplification accounting).
 std::shared_ptr<const DeltaStore> FoldRuns(

@@ -90,42 +90,38 @@ void EnvString(const char* name, std::string* out) {
 std::string ServerOptions::Normalize() {
   const ServerOptions defaults;
   // Clamp every field, not just the first bad one: a config with
-  // several invalid knobs must still come out fully usable. Only the
-  // first repair is reported (DeltaOptions::Normalize convention).
-  std::string first;
-  auto repaired = [&first](std::string note) {
-    if (first.empty()) {
-      first = std::move(note);
-    }
-  };
+  // several invalid knobs must still come out fully usable, and every
+  // repair is reported, one per line.
+  std::string notes;
   if (host.empty()) {
     host = defaults.host;
-    repaired("server: empty host clamped to " + defaults.host);
+    Note(&notes, "server: empty host clamped to " + defaults.host);
   }
   if (threads == 0) {
     threads = defaults.threads;
-    repaired("server: threads=0 clamped to " +
-             std::to_string(defaults.threads));
+    Note(&notes,
+         "server: threads=0 clamped to " + std::to_string(defaults.threads));
   }
   if (queue_depth == 0) {
     queue_depth = defaults.queue_depth;
-    repaired("server: queue_depth=0 clamped to " +
-             std::to_string(defaults.queue_depth));
+    Note(&notes, "server: queue_depth=0 clamped to " +
+                     std::to_string(defaults.queue_depth));
   }
   if (plan_cache_capacity == 0) {
     plan_cache_capacity = defaults.plan_cache_capacity;
-    repaired("server: plan_cache_capacity=0 clamped to " +
-             std::to_string(defaults.plan_cache_capacity));
+    Note(&notes, "server: plan_cache_capacity=0 clamped to " +
+                     std::to_string(defaults.plan_cache_capacity));
   }
   if (!(plan_cache_q_error >= 1.0)) {  // also catches NaN
     plan_cache_q_error = defaults.plan_cache_q_error;
-    repaired("server: plan_cache_q_error must be >= 1, clamped to default");
+    Note(&notes,
+         "server: plan_cache_q_error must be >= 1, clamped to default");
   }
   if (max_request_bytes < 1024) {
     max_request_bytes = 1024;
-    repaired("server: max_request_bytes clamped up to 1024");
+    Note(&notes, "server: max_request_bytes clamped up to 1024");
   }
-  return first;
+  return notes;
 }
 
 std::string StoreOptions::Normalize() {

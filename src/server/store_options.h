@@ -74,8 +74,7 @@ struct ServerOptions {
   std::size_t max_request_bytes = 1u << 20;
 
   /// Clamps every field to its documented domain in place; returns ""
-  /// or a description of the first repair (DeltaOptions::Normalize
-  /// convention).
+  /// or every repair, one per line.
   std::string Normalize();
 };
 

@@ -3,14 +3,21 @@
 // agreement (Hexastore::CheckInvariants) and in lock-step with a
 // std::set<IdTriple> oracle. The same oracle churn also runs against
 // DeltaHexastore with a tiny compaction threshold, so every batch crosses
-// several staged/part-drained/freshly-compacted states.
+// several staged/part-drained/freshly-compacted states, and against every
+// compaction mode (flat or leveled policy, inline or compactor-thread
+// placement, with and without a memory budget).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/hexastore.h"
@@ -48,6 +55,33 @@ void ExpectAgreesWithOracle(const StoreT& store,
   ASSERT_EQ(scanned, expected);
   std::string err;
   ASSERT_TRUE(store.CheckInvariants(&err)) << err;
+}
+
+// Erases every oracle triple matching `q`; returns how many it removed.
+std::size_t OracleErasePattern(std::set<IdTriple>* oracle,
+                               const IdPattern& q) {
+  std::size_t erased = 0;
+  for (auto it = oracle->begin(); it != oracle->end();) {
+    if (q.Matches(*it)) {
+      it = oracle->erase(it);
+      ++erased;
+    } else {
+      ++it;
+    }
+  }
+  return erased;
+}
+
+// A memory budget far below what the run tables and filters occupy, so
+// budget triggers fire constantly; the CI smoke job overrides it via
+// HEXA_MEM_BUDGET.
+std::size_t TightBudget() {
+  if (const char* env = std::getenv("HEXA_MEM_BUDGET")) {
+    if (*env != '\0') {
+      return static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
+    }
+  }
+  return 4096;
 }
 
 TEST(ChurnTest, RandomizedInsertEraseClearAgreesWithOracle) {
@@ -195,19 +229,6 @@ TEST(DeltaChurnTest, ErasePatternAgreesWithOracle) {
   constexpr int kBatches = 40;
   constexpr int kOpsPerBatch = 40;
 
-  auto oracle_erase_pattern = [&oracle](const IdPattern& q) {
-    std::size_t erased = 0;
-    for (auto it = oracle.begin(); it != oracle.end();) {
-      if (q.Matches(*it)) {
-        it = oracle.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
-  };
-
   for (int batch = 0; batch < kBatches; ++batch) {
     for (int op = 0; op < kOpsPerBatch; ++op) {
       const double dice = rng.NextDouble();
@@ -220,7 +241,7 @@ TEST(DeltaChurnTest, ErasePatternAgreesWithOracle) {
       } else if (dice < 0.92) {
         // Predicate-only: the pattern-tombstone fast path.
         const IdPattern q{0, rng.UniformRange(1, kUniverse), 0};
-        EXPECT_EQ(store.ErasePattern(q), oracle_erase_pattern(q));
+        EXPECT_EQ(store.ErasePattern(q), OracleErasePattern(&oracle, q));
       } else if (dice < 0.97) {
         // Other shapes exercise the point-tombstone fallback.
         IdPattern q;
@@ -232,7 +253,7 @@ TEST(DeltaChurnTest, ErasePatternAgreesWithOracle) {
             q.p = rng.UniformRange(1, kUniverse);
           }
         }
-        EXPECT_EQ(store.ErasePattern(q), oracle_erase_pattern(q));
+        EXPECT_EQ(store.ErasePattern(q), OracleErasePattern(&oracle, q));
       } else {
         // All-wildcard == Clear.
         EXPECT_EQ(store.ErasePattern(IdPattern{}), oracle.size());
@@ -367,19 +388,6 @@ TEST(LeveledChurnTest, RandomizedChurnAgreesWithOracleAcrossLevelMerges) {
   constexpr int kBatches = 50;
   constexpr int kOpsPerBatch = 40;
 
-  auto oracle_erase_pattern = [&oracle](const IdPattern& q) {
-    std::size_t erased = 0;
-    for (auto it = oracle.begin(); it != oracle.end();) {
-      if (q.Matches(*it)) {
-        it = oracle.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
-  };
-
   for (int batch = 0; batch < kBatches; ++batch) {
     for (int op = 0; op < kOpsPerBatch; ++op) {
       const double dice = rng.NextDouble();
@@ -400,11 +408,11 @@ TEST(LeveledChurnTest, RandomizedChurnAgreesWithOracleAcrossLevelMerges) {
         // Predicate-only: the leveled pattern-tombstone fast path
         // (counts by merged scan, drains nothing).
         const IdPattern q{0, rng.UniformRange(1, kUniverse), 0};
-        EXPECT_EQ(store.ErasePattern(q), oracle_erase_pattern(q));
+        EXPECT_EQ(store.ErasePattern(q), OracleErasePattern(&oracle, q));
       } else if (dice < 0.97) {
         IdPattern q;
         q.s = rng.UniformRange(1, kUniverse);
-        EXPECT_EQ(store.ErasePattern(q), oracle_erase_pattern(q));
+        EXPECT_EQ(store.ErasePattern(q), OracleErasePattern(&oracle, q));
       } else if (dice < 0.99) {
         store.Compact();  // forced full drain of the hierarchy
       } else {
@@ -433,15 +441,7 @@ TEST(LeveledChurnTest, FilteredChurnUnderMemoryBudgetAgreesWithOracle) {
   options.l0_run_limit = 3;
   options.l1_base_fraction = 0.05;
   options.filter_bits_per_key = 10;
-  // Far below what the run tables + filters occupy, so budget triggers
-  // fire constantly; the CI smoke job overrides it via HEXA_MEM_BUDGET.
-  options.memory_budget_bytes = 4096;
-  if (const char* env = std::getenv("HEXA_MEM_BUDGET")) {
-    if (*env != '\0') {
-      options.memory_budget_bytes =
-          static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-    }
-  }
+  options.memory_budget_bytes = TightBudget();
 
   std::shared_ptr<MemoryTracker> tracker;
   {
@@ -452,19 +452,6 @@ TEST(LeveledChurnTest, FilteredChurnUnderMemoryBudgetAgreesWithOracle) {
     constexpr Id kUniverse = 10;
     constexpr int kBatches = 40;
     constexpr int kOpsPerBatch = 40;
-
-    auto oracle_erase_pattern = [&oracle](const IdPattern& q) {
-      std::size_t erased = 0;
-      for (auto it = oracle.begin(); it != oracle.end();) {
-        if (q.Matches(*it)) {
-          it = oracle.erase(it);
-          ++erased;
-        } else {
-          ++it;
-        }
-      }
-      return erased;
-    };
 
     for (int batch = 0; batch < kBatches; ++batch) {
       for (int op = 0; op < kOpsPerBatch; ++op) {
@@ -484,7 +471,7 @@ TEST(LeveledChurnTest, FilteredChurnUnderMemoryBudgetAgreesWithOracle) {
           EXPECT_EQ(store.Erase(t), oracle.erase(t) > 0);
         } else if (dice < 0.94) {
           const IdPattern q{0, rng.UniformRange(1, kUniverse), 0};
-          EXPECT_EQ(store.ErasePattern(q), oracle_erase_pattern(q));
+          EXPECT_EQ(store.ErasePattern(q), OracleErasePattern(&oracle, q));
         } else if (dice < 0.97) {
           // Point probes against (mostly absent) distant keys drive the
           // filter skip counters.
@@ -526,6 +513,199 @@ TEST(LeveledChurnTest, FilteredChurnUnderMemoryBudgetAgreesWithOracle) {
   // the store mutex never subtracted their bytes.
   EXPECT_TRUE(tracker->balanced());
 }
+
+// The flat policy on the compactor thread: seals made while a drain
+// runs become L0 runs, so the active buffer never holds more than
+// compact_threshold ops, however long one drain takes.
+TEST(DeltaChurnTest, StagingStaysBoundedWhileTheCompactorDrains) {
+  DeltaOptions options;
+  options.compact_threshold = 64;
+  options.background_compaction = true;
+  options.l0_run_limit = 0;
+  DeltaHexastore store(options);
+  // A base big enough that one drain (a full rebuild) takes tens of ms:
+  // the full 67^3 cube, about 300k triples. A cube keeps the number of
+  // index lists small, so the per-insert Stats() (which sums the base's
+  // memory) stays cheap.
+  constexpr Id kSide = 67;
+  IdTripleVec bulk;
+  bulk.reserve(kSide * kSide * kSide);
+  for (Id s = 1; s <= kSide; ++s) {
+    for (Id p = 1; p <= kSide; ++p) {
+      for (Id o = 1; o <= kSide; ++o) {
+        bulk.push_back({s, p, o});
+      }
+    }
+  }
+  store.BulkLoad(bulk);
+
+  constexpr Id kInserts = 2000;
+  for (Id i = 0; i < kInserts; ++i) {
+    ASSERT_TRUE(store.Insert({kSide + 1 + i, 1, 1}));
+    const DeltaStats stats = store.Stats();
+    ASSERT_LE(stats.staged_inserts + stats.staged_tombstones,
+              options.compact_threshold)
+        << "after insert " << i;
+  }
+  store.Compact();
+  EXPECT_EQ(store.StagedOps(), 0u);
+  EXPECT_EQ(store.size(), bulk.size() + kInserts);
+  EXPECT_EQ(store.CountMatches(IdPattern{0, 1, 1}), kSide + kInserts);
+}
+
+// One compaction mode: the policy (flat or leveled) and the memory
+// budget. Each case runs the inline and the compactor-thread placement
+// side by side.
+struct EngineCase {
+  std::size_t l0_run_limit;
+  bool tight_budget;
+};
+
+class CompactionEngineTest : public ::testing::TestWithParam<EngineCase> {
+ protected:
+  DeltaOptions Options(bool background) const {
+    DeltaOptions options;
+    options.compact_threshold = 16;
+    options.background_compaction = background;
+    options.l0_run_limit = GetParam().l0_run_limit;
+    options.l1_base_fraction = 0.05;  // leveled drains actually happen
+    options.memory_budget_bytes = GetParam().tight_budget ? TightBudget() : 0;
+    return options;
+  }
+};
+
+// Both placements run the same jobs: one seeded sequence of Insert,
+// Erase, ErasePattern, Compact and BulkLoad leaves them with the same
+// contents, and every Compact() drains both into identical bases.
+TEST_P(CompactionEngineTest, PlacementsAgreeAfterEveryCompact) {
+  Rng rng(0xE46105 + GetParam().l0_run_limit);
+  DeltaHexastore inline_store(Options(/*background=*/false));
+  DeltaHexastore thread_store(Options(/*background=*/true));
+  DeltaHexastore* stores[] = {&inline_store, &thread_store};
+  std::set<IdTriple> oracle;
+  constexpr Id kUniverse = 10;
+  int compacts = 0;
+
+  for (int batch = 0; batch < 40; ++batch) {
+    for (int op = 0; op < 40; ++op) {
+      const double dice = rng.NextDouble();
+      if (dice < 0.55) {
+        const IdTriple t = RandomTriple(rng, kUniverse);
+        const bool inserted = oracle.insert(t).second;
+        for (DeltaHexastore* store : stores) {
+          EXPECT_EQ(store->Insert(t), inserted);
+        }
+      } else if (dice < 0.82) {
+        const IdTriple t = RandomTriple(rng, kUniverse);
+        const bool erased = oracle.erase(t) > 0;
+        for (DeltaHexastore* store : stores) {
+          EXPECT_EQ(store->Erase(t), erased);
+        }
+      } else if (dice < 0.90) {
+        IdPattern q{0, rng.UniformRange(1, kUniverse), 0};
+        if (rng.Bernoulli(0.3)) {
+          q = IdPattern{rng.UniformRange(1, kUniverse), 0, 0};
+        }
+        const std::size_t erased = OracleErasePattern(&oracle, q);
+        for (DeltaHexastore* store : stores) {
+          EXPECT_EQ(store->ErasePattern(q), erased);
+        }
+      } else if (dice < 0.97) {
+        ++compacts;
+        for (DeltaHexastore* store : stores) {
+          store->Compact();
+          ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithOracle(*store, oracle))
+              << "background " << store->background() << ", batch "
+              << batch;
+          ASSERT_EQ(store->StagedOps(), 0u);
+        }
+        ASSERT_EQ(inline_store.base()->Match(IdPattern{}),
+                  thread_store.base()->Match(IdPattern{}))
+            << "batch " << batch;
+      } else {
+        std::set<IdTriple> batch_set;
+        for (int i = 0; i < 12; ++i) {
+          batch_set.insert(RandomTriple(rng, kUniverse));
+        }
+        const IdTripleVec bulk(batch_set.begin(), batch_set.end());
+        oracle.insert(bulk.begin(), bulk.end());
+        for (DeltaHexastore* store : stores) {
+          store->BulkLoad(bulk);
+        }
+      }
+    }
+    for (DeltaHexastore* store : stores) {
+      ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithOracle(*store, oracle))
+          << "background " << store->background() << ", batch " << batch;
+    }
+  }
+  EXPECT_GT(compacts, 0);
+  for (DeltaHexastore* store : stores) {
+    EXPECT_GT(store->Stats().seals, 0u);
+    EXPECT_GT(store->Stats().base_merges, 0u);
+  }
+}
+
+// Compact() drains what was staged at the call and returns even while
+// another thread keeps writing. The test enforces its own deadline, so
+// a Compact() that chases the writer fails here instead of hanging.
+TEST_P(CompactionEngineTest, CompactReturnsUnderConcurrentWrites) {
+  for (const bool background : {false, true}) {
+    DeltaHexastore store(Options(background));
+    std::atomic<bool> stop{false};
+    std::atomic<int> writes{0};
+    std::thread writer([&store, &stop, &writes] {
+      Rng rng(0x3217E5);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const IdTriple t{rng.UniformRange(1, 40), rng.UniformRange(1, 8),
+                         rng.UniformRange(1, 40)};
+        if (!store.Insert(t)) {
+          store.Erase(t);
+        }
+        writes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    std::promise<void> done;
+    std::future<void> compacted = done.get_future();
+    std::thread compactor([&store, &stop, &writes, &done] {
+      for (int i = 1; i <= 20; ++i) {
+        // Let the writer stage a few seals' worth of ops first.
+        while (writes.load(std::memory_order_relaxed) < 100 * i &&
+               !stop.load(std::memory_order_relaxed)) {
+          std::this_thread::yield();
+        }
+        store.Compact();
+      }
+      done.set_value();
+    });
+    constexpr auto kDeadline = std::chrono::seconds(60);
+    const bool in_time =
+        compacted.wait_for(kDeadline) == std::future_status::ready;
+    stop.store(true, std::memory_order_relaxed);
+    writer.join();
+    if (!in_time &&
+        compacted.wait_for(kDeadline) != std::future_status::ready) {
+      // Stuck even with the writer gone: abort rather than hang.
+      std::fprintf(stderr, "Compact() did not return (background %d)\n",
+                   background);
+      std::abort();
+    }
+    compactor.join();
+    EXPECT_TRUE(in_time) << "Compact() chased the writer (background "
+                         << background << ")";
+    std::string err;
+    EXPECT_TRUE(store.CheckInvariants(&err)) << err;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, CompactionEngineTest,
+    ::testing::Values(EngineCase{0, false}, EngineCase{0, true},
+                      EngineCase{3, false}, EngineCase{3, true}),
+    [](const ::testing::TestParamInfo<EngineCase>& info) {
+      return std::string(info.param.l0_run_limit == 0 ? "Flat" : "Leveled") +
+             (info.param.tight_budget ? "TightBudget" : "NoBudget");
+    });
 
 TEST(ChurnTest, ClearThenReuseKeepsInvariants) {
   Rng rng(7);

@@ -8,6 +8,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "server/store_options.h"
 
@@ -169,8 +172,20 @@ TEST_F(StoreOptionsTest, NormalizeRepairsInvalidServerOptions) {
   server.plan_cache_capacity = 0;
   server.plan_cache_q_error = 0.5;  // < 1 is meaningless for a q-error
   server.max_request_bytes = 16;    // cannot fit a request line
-  std::string note = server.Normalize();
-  EXPECT_FALSE(note.empty());
+  const std::string notes = server.Normalize();
+  // Every repair is reported, one per line, in field order.
+  std::vector<std::string> lines;
+  std::istringstream in(notes);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 6u) << notes;
+  const char* fields[] = {"host", "threads", "queue_depth",
+                          "plan_cache_capacity", "plan_cache_q_error",
+                          "max_request_bytes"};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find(fields[i]), std::string::npos) << lines[i];
+  }
   EXPECT_EQ(server.host, "127.0.0.1");
   EXPECT_GT(server.threads, 0u);
   EXPECT_GT(server.queue_depth, 0u);
