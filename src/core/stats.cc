@@ -51,21 +51,29 @@ std::string DeltaStats::ToString() const {
      << "  compactions: " << compactions << ", epoch: " << epoch << "\n"
      << "  base: " << base_triples << " triples, " << base_bytes
      << " bytes; delta: " << delta_bytes << " bytes\n";
-  if (background) {
-    os << "  background: " << seals << " seals, " << background_merges
-       << " merges (" << merge_discards << " discarded), "
-       << seal_overflows << " overflows, " << sealed_ops
+  // Every placement seals (inline too, before each drain), and flat
+  // stores drain into the base, so these lines print whenever the
+  // counters moved, not only for background or leveled stores.
+  if (background || seals > 0) {
+    os << "  " << (background ? "background" : "inline") << ": " << seals
+       << " seals, ";
+    if (background) {
+      os << background_merges << " merges (" << merge_discards
+         << " discarded), ";
+    }
+    os << seal_overflows << " overflows, " << sealed_ops
        << " ops sealed now\n";
   }
   if (l0_run_limit > 0) {
     os << "  levels: L0 " << l0_runs << " runs / " << l0_ops
        << " ops (fold at " << l0_run_limit << "), L1 " << l1_ops
-       << " ops\n"
-       << "  merges: " << l0_merges << " L0->L1 folds, " << base_merges
-       << " base merges; write amplification "
-       << WriteAmplification() << " (" << merge_run_ops << " run ops + "
-       << base_rebuild_triples << " rebuilt triples over "
-       << staged_ops_total << " staged)\n";
+       << " ops\n";
+  }
+  if (l0_run_limit > 0 || base_merges > 0) {
+    os << "  merges: " << l0_merges << " L0->L1 folds, " << base_merges
+       << " base merges; write amplification " << WriteAmplification()
+       << " (" << merge_run_ops << " run ops + " << base_rebuild_triples
+       << " rebuilt triples over " << staged_ops_total << " staged)\n";
   }
   if (filter_bits_per_key > 0 || filter_probes > 0) {
     os << "  filters: " << filter_bits_per_key << " bits/key; "

@@ -67,9 +67,9 @@ bool LayeredContains(const LayerRefs& v, const IdTriple& t) {
 // Merged pattern scan: base matches with every layer's point and pattern
 // tombstones filtered out (one hash probe per layer per emitted triple),
 // then each layer's staged inserts bottom-up via bound-prefix range
-// scans of its sorted runs. A non-kUnknown verdict from a layer above
-// means that layer owns the triple's fate (its own insert scan emits a
-// re-staged copy), so lower copies are skipped — no duplicates.
+// scans of its sorted insert chunks. A non-kUnknown verdict from a layer
+// above means that layer owns the triple's fate (its own insert scan
+// emits a re-staged copy), so lower copies are skipped — no duplicates.
 void LayeredScan(const LayerRefs& v, const IdPattern& pattern,
                  const TripleSink& sink) {
   auto unknown_above = [&v](std::size_t from, const IdTriple& t) {
@@ -424,9 +424,10 @@ IdVec LayeredPredicatesOfObject(const LayerRefs& v, Id o) {
 
 // Off-thread merge of one delta run into a base: materializes
 // base ∖ pattern-erased ∖ tombstones ∪ inserts into a fresh store. Reads
-// only immutable state and the run's pure (non-caching) accessors, so it
-// is safe to run without the store mutex while mutex readers lazily
-// build the run's caches.
+// only immutable state and the run's read accessors (SortedInserts may
+// sort the run's tail, internally synchronized like every lazy build),
+// so it is safe to run without the store mutex while other readers
+// lazily build the run's caches.
 std::shared_ptr<Hexastore> MergeOffline(const Hexastore* base,
                                         const DeltaStore& run) {
   IdTripleVec merged;
@@ -563,6 +564,7 @@ DeltaHexastore::DeltaHexastore(const DeltaOptions& options)
                         : std::max<std::size_t>(2, filter_bits_l0_ / 2);
   tracker_ = std::make_shared<MemoryTracker>();
   filter_counters_ = std::make_shared<RunFilterCounters>();
+  run_sort_triples_ = std::make_shared<obs::Counter>();
   RegisterMeters();
   delta_ = FreshDeltaLocked();
   RebuildChainLocked();
@@ -635,6 +637,10 @@ void DeltaHexastore::RegisterMeters() {
   registry_.RegisterCounter("hexa_delta_budget_base_merges_total",
                             "base merges forced by the memory budget",
                             &meters_.budget_base_merges);
+  registry_.RegisterCounter("hexa_delta_run_sort_triples_total",
+                            "triples written into sorted insert chunks "
+                            "(settles and chunk merges)",
+                            run_sort_triples_.get());
   registry_.RegisterCounter("hexa_filter_probes_total",
                             "point and prefix Bloom-filter checks",
                             &filter_counters_->probes);
@@ -1274,6 +1280,23 @@ bool DeltaHexastore::CheckInvariants(std::string* error) const {
     if (!ok) {
       return fail(msg);
     }
+    // The sorted insert orders hold exactly the live staged inserts:
+    // no cancelled copy, no duplicate, none missing.
+    IdTripleVec scanned;
+    layer->ScanInserts(IdPattern{}, [&scanned](const IdTriple& t) {
+      scanned.push_back(t);
+    });
+    std::sort(scanned.begin(), scanned.end());
+    IdTripleVec staged;
+    layer->ForEachOp([&staged](const IdTriple& t, DeltaOp op) {
+      if (op == DeltaOp::kInsert) {
+        staged.push_back(t);
+      }
+    });
+    std::sort(staged.begin(), staged.end());
+    if (scanned != staged || layer->SortedInserts() != staged) {
+      return fail(label + ": sorted insert orders disagree with the op table");
+    }
     // Side-list totals match the op counters in every family.
     for (int f = 0; f < 3; ++f) {
       std::size_t adds = 0;
@@ -1314,11 +1337,17 @@ void DeltaHexastore::PublishLocked(std::size_t logical_size,
   auto gen = std::make_shared<DeltaGeneration>();
   gen->base = base_;
   gen->levels = levels_;
-  // No cache pre-building here: a run's lazy read caches are built
-  // on first use under DeltaStore's internal cache mutex, so lock-free
-  // readers of the published generation are safe — and publication
-  // stays O(runs) instead of paying an O(run size) freeze under mu_.
+  // The staging buffer is settled before it escapes: Settle sorts only
+  // what was staged since the last publication, so no reader of any
+  // generation sorts it, and the next copy-on-write clone shares its
+  // chunks. (An exposed buffer was settled when it was first published
+  // and has not changed since.) Sealed and folded runs are not touched
+  // here: their lazy read caches are built on first use under
+  // DeltaStore's internal cache mutex, so publication stays O(runs).
   if (include_active && !delta_->empty()) {
+    if (!delta_exposed_) {
+      delta_->Settle();
+    }
     gen->active = delta_;
     delta_exposed_ = true;
     published_active_ops_ = delta_->op_count();
@@ -1362,6 +1391,7 @@ void DeltaHexastore::EnsureDeltaWritableLocked() {
 std::shared_ptr<DeltaStore> DeltaHexastore::FreshDeltaLocked() const {
   auto fresh = std::make_shared<DeltaStore>();
   fresh->set_filter_counters(filter_counters_);
+  fresh->set_sort_counter(run_sort_triples_);
   return fresh;
 }
 

@@ -164,7 +164,7 @@ class DeltaHexastore : public TripleStore {
   /// Emits the merged view: base matches minus every layer's tombstones
   /// (in the base index's natural order), then each layer's staged
   /// inserts bottom-up, filtered by the layers above it (range scans of
-  /// the layers' sorted runs).
+  /// the layers' sorted insert chunks).
   void Scan(const IdPattern& pattern, const TripleSink& sink) const override;
   std::size_t MemoryBytes() const override;
   std::string name() const override { return "DeltaHexastore"; }
@@ -394,7 +394,8 @@ class DeltaHexastore : public TripleStore {
   // `logical_size` is the triple count of the published view;
   // `include_active` controls whether the staging buffer is frozen into
   // it (excluding it keeps the buffer writer-private — no copy-on-write
-  // on the next op).
+  // on the next op). An included buffer is settled first, so readers of
+  // the generation never sort it.
   void PublishLocked(std::size_t logical_size, bool include_active) const;
   // Marks the current generation escaped and publishes it if dirty.
   void ExposeLocked() const;
@@ -503,6 +504,9 @@ class DeltaHexastore : public TripleStore {
   // Filter + budget accounting.
   std::shared_ptr<MemoryTracker> tracker_;
   std::shared_ptr<RunFilterCounters> filter_counters_;
+  // Shared with every DeltaStore the store creates, so sorts on reader
+  // threads (lazy settles of sealed runs) count too.
+  std::shared_ptr<obs::Counter> run_sort_triples_;
 
   // Registry-registered instruments (hexa_delta_* names; see
   // RegisterMeters in delta_hexastore.cc). The counters ARE the store's

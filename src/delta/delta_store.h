@@ -29,12 +29,27 @@
 // steady state — this is where the insert-throughput win over the
 // sextuple-indexed base comes from.
 //
-// Read path: the same three pair-keyed terminal-list families as the
-// base store's TerminalListPool (o(s,p), p(s,o), s(p,o)), split into
-// sorted `adds` / `removes` vectors, are derived LAZILY from the op
-// table the first time a merged accessor view needs them and cached
-// until the next mutation. These side lists are what lets a merged view
-// (MergedListCursor) walk base-list ∪ adds ∖ removes in one linear pass.
+// Read path, sorted inserts: range scans need the staged inserts sorted
+// three ways, (s,p,o), (p,o,s) and (o,s,p). They are held as a short
+// list of immutable sorted *chunks* plus an unsorted tail of the inserts
+// staged since the last Settle. Settle (the owner calls it before a
+// buffer is published) sorts only the tail into a new chunk and merges
+// chunks binary-counter style, so chunk sizes at least double going
+// older and a store holds O(log n) of them. Chunks are shared by
+// copy-on-write clones, so a published generation is never re-sorted:
+// the next clone keeps its chunks and sorts only what it stages itself.
+// A cancelled insert whose copy sits in a chunk stays recorded in the op
+// table (scans skip it, the next merge of its chunk drops it, a
+// re-insert revives it). Sealed and folded runs may still carry a tail;
+// readers sort it lazily, once per run.
+//
+// Read path, side lists: the same three pair-keyed terminal-list
+// families as the base store's TerminalListPool (o(s,p), p(s,o),
+// s(p,o)), split into sorted `adds` / `removes` vectors, are derived
+// LAZILY from the op table the first time a merged accessor view needs
+// them and cached until the next mutation. These side lists are what
+// lets a merged view (MergedListCursor) walk base-list ∪ adds ∖ removes
+// in one linear pass.
 #ifndef HEXASTORE_DELTA_DELTA_STORE_H_
 #define HEXASTORE_DELTA_DELTA_STORE_H_
 
@@ -50,6 +65,7 @@
 #include "delta/run_filter.h"
 #include "index/sorted_vec.h"
 #include "index/terminal_pool.h"
+#include "obs/metrics.h"
 #include "rdf/triple.h"
 #include "util/common.h"
 #include "util/memory_tracker.h"
@@ -85,33 +101,26 @@ struct DeltaList {
 /// Copyable on purpose: DeltaHexastore clones it (copy-on-write) when a
 /// snapshot handle still references the pre-mutation state.
 ///
-/// Thread-safety: mutators must be externally serialized against
-/// everything else (DeltaHexastore calls them under its mutex). On a
-/// frozen (never-again-mutated) instance every read is safe from any
-/// thread: Lookup and ForEachOp are pure, and the lazily-caching read
-/// helpers (FindLists, ForEachList, ScanInserts) serialize their one-off
-/// cache build internally (double-checked under cache_mu_), so sealed
-/// runs can be read concurrently by mutex readers, lock-free snapshot
-/// readers and the compactor without any pre-freezing.
+/// Thread-safety: mutators (Settle included) must be externally
+/// serialized against everything else (DeltaHexastore calls them under
+/// its mutex). On a frozen (never-again-mutated) instance every read is
+/// safe from any thread: Lookup and ForEachOp are pure, and the
+/// lazily-caching read helpers (FindLists, ForEachList, ScanInserts,
+/// SortedInserts) serialize their one-off cache build internally
+/// (double-checked under cache_mu_), so sealed runs can be read
+/// concurrently by mutex readers, lock-free snapshot readers and the
+/// compactor without any pre-freezing.
 class DeltaStore {
  public:
   DeltaStore() = default;
   ~DeltaStore();
 
-  /// Copies only the op table, pattern tombstones, counters and the
-  /// shared filter-counter sink; the lazy caches (and any built filter)
-  /// are left invalid on the copy (the cloning writer mutates next,
-  /// which would discard them anyway).
-  DeltaStore(const DeltaStore& other)
-      : filter_counters_(other.filter_counters_),
-        slots_(other.slots_),
-        used_(other.used_),
-        inserts_(other.inserts_),
-        tombstones_(other.tombstones_),
-        pattern_preds_(other.pattern_preds_) {
-    lists_valid_.store(other.op_count() == 0, std::memory_order_relaxed);
-    runs_valid_.store(other.op_count() == 0, std::memory_order_relaxed);
-  }
+  /// Copies the op table, pattern tombstones, counters, the unsorted
+  /// tail and the shared counter sinks, and shares the settled chunks
+  /// (read under the source's cache_mu_). The side lists, the sorted
+  /// tail and any built filter are left invalid on the copy (the
+  /// cloning writer mutates next, which would discard them anyway).
+  DeltaStore(const DeltaStore& other);
   DeltaStore& operator=(const DeltaStore&) = delete;
 
   /// Stages `t` as an insert; `base_present` says whether the base store
@@ -177,18 +186,27 @@ class DeltaStore {
   const DeltaList* FindLists(ListFamily family, Id a, Id b) const;
 
   /// Emits every staged insert matching `pattern` to `sink`, grouped by
-  /// the pattern's bound prefix: O(log + matches) once the sorted runs
-  /// are cached (instead of a full op-table walk per scan).
+  /// the pattern's bound prefix: O(log + matches) per chunk (instead of
+  /// a full op-table walk per scan). Sorts the unsorted tail first if a
+  /// Settle has not.
   void ScanInserts(const IdPattern& pattern,
                    const std::function<void(const IdTriple&)>& sink) const;
 
   /// Number of staged inserts matching `pattern` (planner estimates).
   std::uint64_t CountInserts(const IdPattern& pattern) const;
 
-  /// Pre-builds every lazy cache (sorted runs + side lists). Purely an
-  /// optimization — the builds are internally synchronized, so readers
-  /// of a frozen instance are safe either way; the compactor calls this
-  /// off the store mutex to spare the first reader the build cost.
+  /// Sorts the unsorted tail into a new chunk and merges chunks
+  /// binary-counter style (dropping cancelled entries on the way), so
+  /// no reader of this buffer sorts. A mutator: the owner calls it on a
+  /// buffer no reader has seen yet, right before publishing it. Costs
+  /// O(tail · log tail) plus amortized O(log n) rewrites per insert.
+  void Settle();
+
+  /// Pre-builds every lazy cache (sorted tail + side lists + filter).
+  /// Purely an optimization — the builds are internally synchronized,
+  /// so readers of a frozen instance are safe either way; the compactor
+  /// calls this off the store mutex to spare the first reader the build
+  /// cost.
   void Freeze() const;
 
   /// Calls `fn(triple, op)` for every staged operation (table order).
@@ -211,7 +229,8 @@ class DeltaStore {
     }
   }
 
-  /// Staged inserts, sorted in (s, p, o) order (compaction input).
+  /// Staged inserts, sorted in (s, p, o) order (compaction input): a
+  /// merge of the chunks' and the sorted tail's (s, p, o) orders.
   IdTripleVec SortedInserts() const;
   /// Staged tombstones, sorted in (s, p, o) order (compaction input).
   IdTripleVec SortedTombstones() const;
@@ -231,7 +250,8 @@ class DeltaStore {
   /// tombstones. Compaction may only be skipped when this holds.
   bool empty() const { return op_count() == 0 && pattern_preds_.empty(); }
 
-  /// Approximate heap bytes (op table + cached side lists + filter).
+  /// Approximate heap bytes (op table + insert orders + cached side
+  /// lists + filter). Chunks shared with a copy count in both.
   std::size_t MemoryBytes() const;
 
   /// Heap bytes of just the op table — O(1), callable without locks by
@@ -260,6 +280,16 @@ class DeltaStore {
     return filter_counters_;
   }
 
+  /// Shared sink counting the triples written into sorted insert chunks
+  /// (each settled insert once, plus every chunk-merge rewrite), wherever
+  /// the sort runs; propagated like the filter counters.
+  void set_sort_counter(std::shared_ptr<obs::Counter> counter) {
+    sort_counter_ = std::move(counter);
+  }
+  const std::shared_ptr<obs::Counter>& sort_counter() const {
+    return sort_counter_;
+  }
+
   // -- Resident-memory tracking -------------------------------------------
 
   /// Registers this store's analytic footprint with `tracker` and keeps
@@ -283,29 +313,63 @@ class DeltaStore {
     IdTriple triple;
     SlotState state = SlotState::kEmpty;
     DeltaOp op = DeltaOp::kInsert;
+    // A chunk holds a copy of `triple`. The slot then keeps `triple`
+    // even once its op is cancelled (a kDead slot with this flag is
+    // never reused): it tells scans the copy is dead and lets a
+    // re-insert revive it, until a chunk merge drops the copy.
+    bool in_chunk = false;
+    // Unsettled insert: its index in tail_.
+    std::uint32_t tail_index = 0;
+  };
+
+  // One settled chunk: the same inserts sorted (s,p,o), (p,o,s) and
+  // (o,s,p), so every bound-prefix shape of IdPattern has an order it
+  // can range-scan. Immutable once built; shared by copies.
+  struct Chunk {
+    IdTripleVec spo;
+    IdTripleVec pos;
+    IdTripleVec osp;
   };
 
   using ListMap = std::unordered_map<IdPair, DeltaList, IdPairHash>;
 
-  // Probe for `t`: the slot holding it, or nullptr. `insert_at` (when
-  // non-null) receives the slot a new entry for `t` should occupy.
+  // Probe for `t`: the slot holding it (a live op, or a dead one whose
+  // chunk copy is still there), or nullptr. `insert_at` (when non-null)
+  // receives the slot a new entry for `t` should occupy.
   Slot* Probe(const IdTriple& t, Slot** insert_at) const;
+  // The slot of `t`'s live op, or nullptr.
+  const Slot* FindOp(const IdTriple& t) const;
   // Grows/rehashes the table so one more op always fits.
   void ReserveForOneMore();
+  // Cancels the staged insert in `slot`: its chunk copy goes dead, or it
+  // leaves the unsorted tail.
+  void CancelInsert(Slot* slot);
+  // Drops every chunk once no insert is live (all their entries dead).
+  void DropChunks();
+  // Sorts `spo` (and copies of it) into a chunk; counts the triples.
+  std::shared_ptr<const Chunk> SortChunk(IdTripleVec spo) const;
+  // Merges two chunks, dropping dead entries and releasing their slots.
+  std::shared_ptr<const Chunk> MergeChunks(const Chunk& older,
+                                           const Chunk& newer);
+  // Range-scans one chunk for `pattern`; `check_live` skips dead entries.
+  void ScanChunk(const Chunk& chunk, const IdPattern& pattern,
+                 bool check_live,
+                 const std::function<void(const IdTriple&)>& sink) const;
   // Rebuilds the three side-list families from the op table
   // (double-checked under cache_mu_; safe from any thread on a frozen
   // instance).
   void EnsureSideLists() const;
-  // Rebuilds the three sorted insert runs from the op table (same
-  // double-checked discipline).
-  void EnsureSortedRuns() const;
+  // Sorts the unsorted tail into sorted_tail_ (same double-checked
+  // discipline): the lazy settle of a sealed or folded run, or of the
+  // live buffer under its owner's mutex.
+  void EnsureSortedTail() const;
   // Drops all lazy caches after a mutation (mutator context: externally
   // serialized against every reader). A built filter is dropped too —
   // it only ever exists on sealed runs, so this is a safety net for the
   // clone-then-mutate path, not a hot one.
   void InvalidateCaches() {
     lists_valid_.store(false, std::memory_order_release);
-    runs_valid_.store(false, std::memory_order_release);
+    sorted_tail_valid_.store(false, std::memory_order_release);
     filter_ptr_.store(nullptr, std::memory_order_relaxed);
     filter_bits_.store(0, std::memory_order_relaxed);
   }
@@ -316,12 +380,20 @@ class DeltaStore {
   std::size_t MemoryBytesLocked() const;
 
   std::shared_ptr<RunFilterCounters> filter_counters_;
+  std::shared_ptr<obs::Counter> sort_counter_;
 
   mutable std::vector<Slot> slots_;  // power-of-two size; empty at start
   std::size_t used_ = 0;             // kFull + kDead slots
   std::size_t inserts_ = 0;
   std::size_t tombstones_ = 0;
   IdVec pattern_preds_;  // sorted predicates with a pattern tombstone
+
+  // Sorted insert orders (see the file comment). Writer state: changed
+  // only by mutators and Settle, never once the buffer is published.
+  std::vector<std::shared_ptr<const Chunk>> chunks_;  // oldest first
+  std::size_t chunk_triples_ = 0;       // entries across chunks_
+  std::size_t dead_chunk_triples_ = 0;  // of those, not a live insert
+  IdTripleVec tail_;  // live inserts staged since the last Settle
 
   // Serializes the one-off lazy cache builds below; the valid flags are
   // acquire/release so a reader that observes `true` sees the built
@@ -332,12 +404,9 @@ class DeltaStore {
   // Empty delta == valid empty lists.
   mutable std::atomic<bool> lists_valid_{true};
 
-  // Staged inserts sorted three ways: (s,p,o), (p,o,s) and (o,s,p), so
-  // every bound-prefix shape of IdPattern has a run it can range-scan.
-  mutable IdTripleVec run_spo_;
-  mutable IdTripleVec run_pos_;
-  mutable IdTripleVec run_osp_;
-  mutable std::atomic<bool> runs_valid_{true};
+  // tail_ sorted three ways (null when empty).
+  mutable std::shared_ptr<const Chunk> sorted_tail_;
+  mutable std::atomic<bool> sorted_tail_valid_{true};
 
   // Prefix filter state: `filter_bits_` arms the lazy build (0 =
   // disabled), `filter_owner_` owns the built filter (under cache_mu_),

@@ -37,11 +37,15 @@ void DeltaLevels::AppendBottomUp(std::vector<const DeltaStore*>* chain) const {
 std::shared_ptr<DeltaStore> MergeDeltaLayers(const DeltaStore& lower,
                                              const DeltaStore& upper) {
   auto merged = std::make_shared<DeltaStore>();
-  // The merged run reports filter effectiveness to the same sink as its
-  // inputs (the owner arms its filter after adopting the result).
+  // The merged run reports filter effectiveness and sort work to the
+  // same sinks as its inputs (the owner arms its filter after adopting
+  // the result).
   merged->set_filter_counters(upper.filter_counters() != nullptr
                                   ? upper.filter_counters()
                                   : lower.filter_counters());
+  merged->set_sort_counter(upper.sort_counter() != nullptr
+                               ? upper.sort_counter()
+                               : lower.sort_counter());
 
   // Pattern predicates union: an upper pattern erases lower staged state
   // and beneath-state alike; a lower pattern keeps suppressing whatever

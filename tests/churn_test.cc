@@ -5,7 +5,8 @@
 // DeltaHexastore with a tiny compaction threshold, so every batch crosses
 // several staged/part-drained/freshly-compacted states, and against every
 // compaction mode (flat or leveled policy, inline or compactor-thread
-// placement, with and without a memory budget).
+// placement, with and without a memory budget), and with a publication
+// every few ops, as the server publishes after each write batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -705,6 +706,142 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return std::string(info.param.l0_run_limit == 0 ? "Flat" : "Leveled") +
              (info.param.tight_budget ? "TightBudget" : "NoBudget");
+    });
+
+// One store shape for the publish-per-batch oracle: the compaction
+// policy (flat or leveled) and the placement (inline or thread).
+struct PublishCase {
+  std::size_t l0_run_limit;
+  bool background;
+};
+
+class PublishPerBatchTest : public ::testing::TestWithParam<PublishCase> {};
+
+// One of the 8 bound/unbound IdPattern shapes, bound where `mask` says
+// (4 = s, 2 = p, 1 = o) to the ids of `anchor`.
+IdPattern Shape(const IdTriple& anchor, int mask) {
+  return IdPattern{(mask & 4) != 0 ? anchor.s : kInvalidId,
+                   (mask & 2) != 0 ? anchor.p : kInvalidId,
+                   (mask & 1) != 0 ? anchor.o : kInvalidId};
+}
+
+// Every shape anchored at each of `anchors` scans `view` to exactly the
+// oracle's matches, compared as multisets (a duplicate fails).
+template <typename View>
+void ExpectShapesMatch(const View& view, const std::set<IdTriple>& oracle,
+                       const std::vector<IdTriple>& anchors) {
+  for (const IdTriple& anchor : anchors) {
+    for (int mask = 0; mask < 8; ++mask) {
+      const IdPattern q = Shape(anchor, mask);
+      IdTripleVec scanned;
+      view.Scan(q, [&scanned](const IdTriple& t) { scanned.push_back(t); });
+      std::sort(scanned.begin(), scanned.end());
+      IdTripleVec expected;
+      for (const IdTriple& t : oracle) {
+        if (q.Matches(t)) {
+          expected.push_back(t);
+        }
+      }
+      ASSERT_EQ(scanned, expected) << "shape " << mask;
+    }
+  }
+}
+
+// The served write pattern: a publication (GetSnapshot) every few ops,
+// so the staging buffer is settled, cloned and mutated over and over.
+// Half the erases target recent inserts and so cancel staged or settled
+// ones; some inserts re-insert recently erased triples. After each
+// publish the live store, the new snapshot and an older snapshot kept
+// alive all scan every shape to their oracles.
+TEST_P(PublishPerBatchTest, EveryPublishedViewMatchesItsOracle) {
+  DeltaOptions options;
+  options.compact_threshold = 96;
+  options.background_compaction = GetParam().background;
+  options.l0_run_limit = GetParam().l0_run_limit;
+  options.l1_base_fraction = 0.05;  // leveled drains actually happen
+  DeltaHexastore store(options);
+  Rng rng(0x9B1ED + GetParam().l0_run_limit * 2 + GetParam().background);
+  constexpr Id kUniverse = 12;
+  std::set<IdTriple> oracle;
+  // The last inserts (erase targets) and erases (re-insert targets).
+  std::vector<IdTriple> recent;
+  std::vector<IdTriple> recently_erased;
+  auto remember = [](std::vector<IdTriple>* list, const IdTriple& t) {
+    list->push_back(t);
+    if (list->size() > 16) {
+      list->erase(list->begin());
+    }
+  };
+  DeltaHexastore::Snapshot older = store.GetSnapshot();
+  std::set<IdTriple> older_oracle;
+  int publishes = 0;
+
+  for (int op = 0; op < 3000; ++op) {
+    const double dice = rng.NextDouble();
+    if (dice < 0.5) {
+      const IdTriple t =
+          !recently_erased.empty() && rng.Bernoulli(0.3)
+              ? recently_erased[rng.Uniform(recently_erased.size())]
+              : RandomTriple(rng, kUniverse);
+      const bool inserted = oracle.insert(t).second;
+      ASSERT_EQ(store.Insert(t), inserted);
+      if (inserted) {
+        remember(&recent, t);
+      }
+    } else if (dice < 0.88) {
+      const IdTriple t = !recent.empty() && rng.Bernoulli(0.5)
+                             ? recent[rng.Uniform(recent.size())]
+                             : RandomTriple(rng, kUniverse);
+      const bool erased = oracle.erase(t) > 0;
+      ASSERT_EQ(store.Erase(t), erased);
+      if (erased) {
+        remember(&recently_erased, t);
+      }
+    } else if (dice < 0.97) {
+      IdPattern q{0, rng.UniformRange(1, kUniverse), 0};
+      if (rng.Bernoulli(0.3)) {
+        q = IdPattern{rng.UniformRange(1, kUniverse), 0, 0};
+      }
+      ASSERT_EQ(store.ErasePattern(q), OracleErasePattern(&oracle, q));
+    } else {
+      store.Compact();
+    }
+    if (rng.Uniform(6) != 0) {
+      continue;
+    }
+    // Publish, as the server does after every write batch.
+    DeltaHexastore::Snapshot snap = store.GetSnapshot();
+    ++publishes;
+    std::vector<IdTriple> anchors{RandomTriple(rng, kUniverse)};
+    for (int i = 0; i < 2 && !oracle.empty(); ++i) {
+      auto it = oracle.begin();
+      std::advance(it, rng.Uniform(oracle.size()));
+      anchors.push_back(*it);
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectShapesMatch(store, oracle, anchors))
+        << "live store, op " << op;
+    ASSERT_NO_FATAL_FAILURE(ExpectShapesMatch(snap, oracle, anchors))
+        << "new snapshot, op " << op;
+    ASSERT_NO_FATAL_FAILURE(ExpectShapesMatch(older, older_oracle, anchors))
+        << "older snapshot, op " << op;
+    std::string err;
+    ASSERT_TRUE(store.CheckInvariants(&err)) << err << ", op " << op;
+    if (publishes % 8 == 0) {
+      older = snap;
+      older_oracle = oracle;
+    }
+  }
+  EXPECT_GT(publishes, 300);
+  EXPECT_GT(store.Stats().seals, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, PublishPerBatchTest,
+    ::testing::Values(PublishCase{0, false}, PublishCase{0, true},
+                      PublishCase{3, false}, PublishCase{3, true}),
+    [](const ::testing::TestParamInfo<PublishCase>& info) {
+      return std::string(info.param.l0_run_limit == 0 ? "Flat" : "Leveled") +
+             (info.param.background ? "Thread" : "Inline");
     });
 
 TEST(ChurnTest, ClearThenReuseKeepsInvariants) {

@@ -356,6 +356,33 @@ TEST(DeltaHexastoreTest, SnapshotIsolatedFromErasePattern) {
   EXPECT_EQ(store.size(), 1u);
 }
 
+// Publishing after every batch, as the server does, sorts each staged
+// insert once plus O(log batches) chunk-merge rewrites. Re-sorting the
+// whole buffer for every published generation would write the sum of
+// the buffer sizes, about 5.1M triples here.
+TEST(DeltaHexastoreTest, PublishPerBatchSortsEachInsertLogTimes) {
+  constexpr Id kBatches = 200;
+  constexpr Id kBatch = 256;  // 51,200 ops stay under the 64k threshold
+  DeltaHexastore store;
+  for (Id b = 0; b < kBatches; ++b) {
+    for (Id i = 0; i < kBatch; ++i) {
+      ASSERT_TRUE(store.Insert({b * kBatch + i + 1, 1 + i % 4, b + 1}));
+    }
+    const DeltaHexastore::Snapshot snap = store.GetSnapshot();
+    std::size_t matches = 0;
+    snap.Scan(IdPattern{0, 2, 0}, [&matches](const IdTriple&) { ++matches; });
+    ASSERT_EQ(matches, (b + 1) * kBatch / 4);
+  }
+  EXPECT_EQ(store.Stats().seals, 0u);
+  std::uint64_t sorted = 0;
+  ASSERT_TRUE(store.metrics_registry().CounterValue(
+      "hexa_delta_run_sort_triples_total", &sorted));
+  const double staged = static_cast<double>(kBatches * kBatch);
+  EXPECT_GE(static_cast<double>(sorted), staged);
+  EXPECT_LE(static_cast<double>(sorted),
+            2 * std::log2(static_cast<double>(kBatches)) * staged);
+}
+
 TEST(DeltaHexastoreSnapshotIoTest, RoundTripsAndCompactsFirst) {
   Dictionary dict;
   DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});

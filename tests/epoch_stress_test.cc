@@ -383,6 +383,31 @@ TEST(EpochStressTest, FilteredBackgroundChurnUnderBudgetStaysExact) {
       }
     }
 
+    // A budget fold is a race too: the policy counts a fold as one only
+    // when it picks it over budget with L0 still below l0_run_limit, and
+    // under load the writer can fill L0 first every time. Finish the
+    // same way: from an emptied store, one bulk-loaded subject erased by
+    // a point-tombstone pattern erase seals a single run far over the
+    // budget, leaving no L1 and one L0 run, so the compactor's next job
+    // must be a budget fold. Wait for it under a deadline kept here.
+    for (Id attempt = 0; store.Stats().budget_folds == 0 && attempt < 4;
+         ++attempt) {
+      store.Clear();
+      IdTripleVec subject;
+      for (Id k = 1; k <= 2000; ++k) {
+        subject.push_back(IdTriple{700 + attempt, 700, k});
+      }
+      store.BulkLoad(subject);
+      ASSERT_EQ(store.ErasePattern(IdPattern{700 + attempt, 0, 0}),
+                subject.size());
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (store.Stats().budget_folds == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+
     const DeltaStats stats = store.Stats();
     EXPECT_TRUE(stats.background);
     EXPECT_GT(stats.seals, 0u);

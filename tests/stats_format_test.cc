@@ -53,6 +53,32 @@ TEST(StatsFormatTest, DeltaStatsFlatGolden) {
             "  base: 600 triples, 7000 bytes; delta: 800 bytes\n");
 }
 
+// Flat inline store (the served default) after three drains: each drain
+// follows a seal, so the seal line and the base-merge / write
+// amplification line print although the store is neither background nor
+// leveled.
+TEST(StatsFormatTest, DeltaStatsFlatInlineAfterDrainsGolden) {
+  DeltaStats d;
+  d.compact_threshold = 100;
+  d.compactions = 3;
+  d.epoch = 3;
+  d.base_triples = 280;
+  d.base_bytes = 9000;
+  d.seals = 3;
+  d.base_merges = 3;
+  d.base_rebuild_triples = 300;
+  d.staged_ops_total = 300;
+  EXPECT_EQ(d.ToString(),
+            "DeltaHexastore delta layer:\n"
+            "  staged: 0 inserts, 0 tombstones, 0 pattern tombstones "
+            "(threshold 100)\n"
+            "  compactions: 3, epoch: 3\n"
+            "  base: 280 triples, 9000 bytes; delta: 0 bytes\n"
+            "  inline: 3 seals, 0 overflows, 0 ops sealed now\n"
+            "  merges: 0 L0->L1 folds, 3 base merges; write amplification "
+            "1 (0 run ops + 300 rebuilt triples over 300 staged)\n");
+}
+
 // Every conditional section armed: background, levels, filters, budget.
 TEST(StatsFormatTest, DeltaStatsFullGolden) {
   DeltaStats d;
