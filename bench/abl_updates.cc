@@ -33,6 +33,13 @@
 // and only L1→base merges rebuild the base — bounding the worst sync
 // drain to the fold cost and keeping bg seals O(1) even when the
 // compactor is behind (the overflow is absorbed as extra runs).
+//
+// The drain_latency_published series drive the store as hexastore_server
+// does — a publication after every batch, so every drain finds the base
+// exposed — and report the drain time and how many drains had to rebuild
+// the base instead of applying their run in place to the spare. The
+// aging_scan rows compare (?, p, ?) scans over a base that drains applied
+// in place with scans over a copy rebuilt from the same contents.
 #include "bench_common.h"
 
 #include <unistd.h>
@@ -42,6 +49,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -198,6 +206,202 @@ void RegisterDrainLatency(const std::string& label, std::size_t n,
       })
       ->Unit(benchmark::kMillisecond)
       ->MinTime(0.02);
+}
+
+// Served-style churn over a LUBM base: 256-triple pool batches, each
+// step inserting one batch and erasing the batch kWindow steps older,
+// with a GetSnapshot after every 256-op batch as hexastore_server
+// publishes after every write. Drives `store` through `steps` steps and
+// calls `on_op(ns, drained)` per op (`drained`: a compaction job ran
+// inside it).
+constexpr std::size_t kChurnBatch = 256;
+constexpr std::size_t kChurnWindow = 64;
+constexpr std::size_t kChurnPoolBatches = 128;
+
+template <typename OnOp>
+void PublishedChurn(DeltaHexastore* store, const IdTripleVec& pool,
+                    std::size_t steps, OnOp&& on_op) {
+  auto batch_of = [&pool](std::size_t step) {
+    const std::size_t begin = (step % kChurnPoolBatches) * kChurnBatch;
+    return IdTripleVec(pool.begin() + static_cast<std::ptrdiff_t>(begin),
+                       pool.begin() +
+                           static_cast<std::ptrdiff_t>(begin + kChurnBatch));
+  };
+  auto timed = [&](auto&& op) {
+    const std::uint64_t jobs = store->CompactionCount();
+    const auto begin = std::chrono::steady_clock::now();
+    op();
+    const auto end = std::chrono::steady_clock::now();
+    on_op(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(end -
+                                                                   begin)
+                  .count()),
+          store->CompactionCount() != jobs);
+  };
+  for (std::size_t step = 0; step < steps; ++step) {
+    for (const IdTriple& t : batch_of(step)) {
+      timed([&] { store->Insert(t); });
+    }
+    benchmark::DoNotOptimize(store->GetSnapshot().size());
+    if (step >= kChurnWindow) {
+      for (const IdTriple& t : batch_of(step - kChurnWindow)) {
+        timed([&] { store->Erase(t); });
+      }
+      benchmark::DoNotOptimize(store->GetSnapshot().size());
+    }
+  }
+}
+
+// The drain_latency loop as the server drives it: the served-style churn
+// above over a 100k-triple LUBM base, so every drain finds the base
+// published. Each inline drain runs inside one op: drain_p50_ms and
+// drain_max_ms time those ops, and rebuilds counts the drains that found
+// no free base (the first, when no spare exists yet).
+void RegisterPublishedDrainLatency(const std::string& label,
+                                   const DeltaOptions& options) {
+  constexpr std::size_t kBase = 100000;
+  constexpr std::size_t kSteps = 320;
+  benchmark::RegisterBenchmark(
+      ("abl_updates/drain_latency_published/" + label +
+       "/triples:" + std::to_string(kBase))
+          .c_str(),
+      [options](benchmark::State& state) {
+        const IdTripleVec data =
+            EncodedPrefix(kBase + kChurnPoolBatches * kChurnBatch);
+        const IdTripleVec base(data.begin(),
+                               data.begin() + static_cast<std::ptrdiff_t>(kBase));
+        const IdTripleVec pool(data.begin() + static_cast<std::ptrdiff_t>(kBase),
+                               data.end());
+        obs::LatencyHistogram ops;
+        obs::LatencyHistogram drains;
+        DeltaStats stats;
+        for (auto _ : state) {
+          state.PauseTiming();
+          auto store = std::make_unique<DeltaHexastore>(options);
+          store->BulkLoad(base);
+          ops.Reset();
+          drains.Reset();
+          state.ResumeTiming();
+          PublishedChurn(store.get(), pool, kSteps,
+                         [&](std::uint64_t ns, bool drained) {
+                           ops.Record(ns);
+                           if (drained) {
+                             drains.Record(ns);
+                           }
+                         });
+          state.PauseTiming();
+          store->Compact();
+          stats = store->Stats();
+          store.reset();
+          state.ResumeTiming();
+        }
+        const obs::HistogramSnapshot op_snap = ops.Snapshot();
+        const obs::HistogramSnapshot drain_snap = drains.Snapshot();
+        state.counters["p50_ns"] = op_snap.P50();
+        state.counters["p99_ns"] = op_snap.P99();
+        state.counters["max_ns"] = static_cast<double>(op_snap.max);
+        if (drain_snap.count > 0) {
+          state.counters["drain_p50_ms"] = drain_snap.P50() / 1e6;
+          state.counters["drain_max_ms"] =
+              static_cast<double>(drain_snap.max) / 1e6;
+        }
+        state.counters["drains"] = static_cast<double>(stats.base_merges);
+        state.counters["rebuilds"] = static_cast<double>(stats.base_rebuilds);
+        state.counters["write_amp"] = stats.WriteAmplification();
+        state.SetItemsProcessed(static_cast<std::int64_t>(
+            state.iterations() * kSteps * 2 * kChurnBatch));
+      })
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(1);
+}
+
+// Aging of a base that drains apply in place: the served-style churn
+// runs until `drains` drains completed (after the first, each applied in
+// place to the spare after its catch-up), then the series times one
+// (?, p, ?) scan of every predicate over the served base (`in_place`) or
+// over a copy rebuilt from the same contents (`rebuilt`). `in_place_drains`
+// counts the drains that wrote the served base in place since it was
+// built (bulk-loaded or rebuilt).
+struct AgedBase {
+  std::shared_ptr<const Hexastore> in_place;
+  std::unique_ptr<Hexastore> rebuilt;
+  std::size_t in_place_drains = 0;
+  std::uint64_t drains = 0;  // drains the store ran
+};
+
+const AgedBase& AgedBaseAfter(std::size_t drains) {
+  static std::map<std::size_t, AgedBase> cache;
+  AgedBase& aged = cache[drains];
+  if (aged.in_place == nullptr) {
+    constexpr std::size_t kBase = 100000;
+    const IdTripleVec data =
+        EncodedPrefix(kBase + kChurnPoolBatches * kChurnBatch);
+    const IdTripleVec pool(data.begin() + static_cast<std::ptrdiff_t>(kBase),
+                           data.end());
+    DeltaHexastore store(DeltaOptions{4096});
+    store.BulkLoad(IdTripleVec(
+        data.begin(), data.begin() + static_cast<std::ptrdiff_t>(kBase)));
+    // In-place drains per base since it was built, keyed by address
+    // (the temporary pins taken here are gone before the next drain).
+    std::map<const Hexastore*, std::size_t> applied;
+    std::uint64_t rebuilds = 0;
+    // The first kChurnWindow steps only insert (256 ops each), later
+    // ones also erase (512 ops): a 4096-op drain every 16 steps, then
+    // about every 8 (the `drains` counter reports how many ran).
+    PublishedChurn(&store, pool,
+                   kChurnWindow + (drains - kChurnWindow / 16) * 8 + 1,
+                   [&](std::uint64_t, bool drained) {
+                     if (!drained) {
+                       return;
+                     }
+                     const Hexastore* current = store.base().get();
+                     const std::uint64_t now = store.Stats().base_rebuilds;
+                     if (now != rebuilds) {
+                       rebuilds = now;
+                       applied[current] = 0;
+                     } else {
+                       ++applied[current];
+                     }
+                   });
+    aged.in_place = store.base();
+    aged.in_place_drains = applied[aged.in_place.get()];
+    aged.drains = store.Stats().base_merges;
+    aged.rebuilt = std::make_unique<Hexastore>();
+    aged.rebuilt->BulkLoad(aged.in_place->Match(IdPattern{}));
+  }
+  return aged;
+}
+
+void RegisterAgingScan(std::size_t drains, bool rebuilt) {
+  benchmark::RegisterBenchmark(
+      ("abl_updates/aging_scan/" +
+       std::string(rebuilt ? "rebuilt" : "in_place") +
+       "/drains:" + std::to_string(drains))
+          .c_str(),
+      [drains, rebuilt](benchmark::State& state) {
+        const AgedBase& aged = AgedBaseAfter(drains);
+        const Hexastore& base = rebuilt ? *aged.rebuilt : *aged.in_place;
+        const std::vector<Id> predicates =
+            base.index(Permutation::kPso).SortedHeaders();
+        for (auto _ : state) {
+          std::uint64_t matches = 0;
+          for (Id p : predicates) {
+            base.Scan(IdPattern{0, p, 0},
+                      [&matches](const IdTriple&) { ++matches; });
+          }
+          benchmark::DoNotOptimize(matches);
+        }
+        state.counters["triples"] = static_cast<double>(base.size());
+        if (!rebuilt) {
+          state.counters["drains"] = static_cast<double>(aged.drains);
+          state.counters["in_place_drains"] =
+              static_cast<double>(aged.in_place_drains);
+        }
+        state.SetItemsProcessed(
+            static_cast<std::int64_t>(state.iterations() * base.size()));
+      })
+      ->Unit(benchmark::kMillisecond)
+      ->MinTime(0.2);
 }
 
 // Root directory for per-benchmark WAL dirs: $HEXA_WAL_DIR if set
@@ -540,6 +744,14 @@ int Main(int argc, char** argv) {
           BgDeltaLabel(n / 4) + suffix, n,
           DeltaOptions{n / 4, /*background_compaction=*/true, limit});
     }
+  }
+  // The drain series as the server drives it: a publication per batch,
+  // so every drain finds the base exposed (spare or rebuild).
+  RegisterPublishedDrainLatency(DeltaLabel(16 * 1024) + "/sync",
+                                DeltaOptions{16 * 1024});
+  for (std::size_t drains : {std::size_t{10}, std::size_t{200}}) {
+    RegisterAgingScan(drains, /*rebuilt=*/false);
+    RegisterAgingScan(drains, /*rebuilt=*/true);
   }
   // Prefix-filter ablation (filter:{on,off}) and the memory-budget
   // series: smaller size only — the interesting numbers are the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 namespace hexastore {
 
@@ -31,6 +32,17 @@ void MergeAppend(IdVec* vec, It begin, It end, Proj proj) {
     vec->push_back(proj(*it));
   }
   SortedMergeTail(vec, prefix);
+}
+
+// Refills `ids` with one projected field of [begin, end) (sorted when
+// the run is sorted by that field) and returns it.
+template <typename It, typename Proj>
+const IdVec& Project(IdVec* ids, It begin, It end, Proj proj) {
+  ids->clear();
+  for (It it = begin; it != end; ++it) {
+    ids->push_back(proj(*it));
+  }
+  return *ids;
 }
 
 }  // namespace
@@ -200,9 +212,14 @@ void Hexastore::BulkLoad(const IdTripleVec& triples) {
     MergeAppend(index(Permutation::kSpo).GetOrCreate(s_begin->s), s_begin,
                 s_end, [](const IdTriple& t) { return t.p; });
     ForEachRun(s_begin, s_end, by_p, [&](auto sp_begin, auto sp_end) {
-      MergeAppend(
-          pool_.GetOrCreate(ListFamily::kObjects, sp_begin->s, sp_begin->p),
-          sp_begin, sp_end, [](const IdTriple& t) { return t.o; });
+      IdVec* objects =
+          pool_.GetOrCreate(ListFamily::kObjects, sp_begin->s, sp_begin->p);
+      const std::size_t before = objects->size();
+      MergeAppend(objects, sp_begin, sp_end,
+                  [](const IdTriple& t) { return t.o; });
+      // Each o(s,p) entry is one distinct triple: what the merges add is
+      // what the store gains.
+      size_ += objects->size() - before;
     });
   });
 
@@ -249,9 +266,77 @@ void Hexastore::BulkLoad(const IdTripleVec& triples) {
     MergeAppend(index(Permutation::kOps).GetOrCreate(o_begin->o), o_begin,
                 o_end, [](const IdTriple& t) { return t.p; });
   });
+}
 
-  // Distinct triple count == total entries in any one terminal family.
-  size_ = pool_.EntryCount(ListFamily::kObjects);
+void Hexastore::BulkErase(const IdTripleVec& triples) {
+  if (triples.empty() || size_ == 0) {
+    return;
+  }
+  IdTripleVec batch(triples);
+  IdVec ids;
+  std::vector<IdPair> emptied_keys;
+  // One pass per terminal family: sort the batch by the family's key and
+  // third role, set-difference each touched list once, then drop the
+  // emptied lists' keys from the two header indexes that hold them
+  // (`by_a` lists b under header a, `by_b` lists a under header b).
+  // Returns how many entries the family lost.
+  auto erase_family = [&](ListFamily family, Id IdTriple::*a,
+                          Id IdTriple::*b, Id IdTriple::*third,
+                          Permutation by_a, Permutation by_b) {
+    std::sort(batch.begin(), batch.end(),
+              [=](const IdTriple& x, const IdTriple& y) {
+                return std::tie(x.*a, x.*b, x.*third) <
+                       std::tie(y.*a, y.*b, y.*third);
+              });
+    std::size_t removed = 0;
+    emptied_keys.clear();
+    ForEachRun(
+        batch.begin(), batch.end(),
+        [=](const IdTriple& x, const IdTriple& y) {
+          return x.*a == y.*a && x.*b == y.*b;
+        },
+        [&](auto begin, auto end) {
+          const IdPair key{(*begin).*a, (*begin).*b};
+          bool emptied = false;
+          removed += pool_.EraseAll(
+              family, key.a, key.b,
+              Project(&ids, begin, end,
+                      [third](const IdTriple& t) { return t.*third; }),
+              &emptied);
+          if (emptied) {
+            emptied_keys.push_back(key);
+          }
+        });
+    // The keys arrive sorted by (a, b); the transposed index needs them
+    // by (b, a).
+    auto same_a = [](const IdPair& x, const IdPair& y) { return x.a == y.a; };
+    auto same_b = [](const IdPair& x, const IdPair& y) { return x.b == y.b; };
+    ForEachRun(emptied_keys.begin(), emptied_keys.end(), same_a,
+               [&](auto begin, auto end) {
+                 index(by_a).EraseAll(
+                     begin->a, Project(&ids, begin, end,
+                                       [](const IdPair& k) { return k.b; }));
+               });
+    std::sort(emptied_keys.begin(), emptied_keys.end(),
+              [](const IdPair& x, const IdPair& y) {
+                return std::tie(x.b, x.a) < std::tie(y.b, y.a);
+              });
+    ForEachRun(emptied_keys.begin(), emptied_keys.end(), same_b,
+               [&](auto begin, auto end) {
+                 index(by_b).EraseAll(
+                     begin->b, Project(&ids, begin, end,
+                                       [](const IdPair& k) { return k.a; }));
+               });
+    return removed;
+  };
+  // Each o(s,p) entry is one distinct triple: what those lists lose is
+  // what the store loses.
+  size_ -= erase_family(ListFamily::kObjects, &IdTriple::s, &IdTriple::p,
+                        &IdTriple::o, Permutation::kSpo, Permutation::kPso);
+  erase_family(ListFamily::kPredicates, &IdTriple::s, &IdTriple::o,
+               &IdTriple::p, Permutation::kSop, Permutation::kOsp);
+  erase_family(ListFamily::kSubjects, &IdTriple::p, &IdTriple::o,
+               &IdTriple::s, Permutation::kPos, Permutation::kOps);
 }
 
 void Hexastore::Clear() {

@@ -58,6 +58,13 @@ class Hexastore : public TripleStore {
   /// compaction drain path).
   void BulkLoad(const IdTripleVec& triples) override;
 
+  /// Removes every triple of `triples` the store holds (absent triples
+  /// and repeats are ignored). Mirrors BulkLoad: the batch is sorted once
+  /// per terminal family, and each touched terminal list and header
+  /// vector gets one linear set-difference instead of one shifting erase
+  /// per triple; emptied lists and headers are dropped.
+  void BulkErase(const IdTripleVec& triples);
+
   /// Removes all triples.
   void Clear();
 

@@ -71,7 +71,11 @@ std::string DeltaStats::ToString() const {
   }
   if (l0_run_limit > 0 || base_merges > 0) {
     os << "  merges: " << l0_merges << " L0->L1 folds, " << base_merges
-       << " base merges; write amplification " << WriteAmplification()
+       << " base merges";
+    if (base_rebuilds > 0) {
+      os << " (" << base_rebuilds << " rebuilt)";
+    }
+    os << "; write amplification " << WriteAmplification()
        << " (" << merge_run_ops << " run ops + " << base_rebuild_triples
        << " rebuilt triples over " << staged_ops_total << " staged)\n";
   }

@@ -63,8 +63,12 @@ struct DeltaStats {
   std::size_t l1_ops = 0;        ///< staged ops in the L1 run
   std::uint64_t l0_merges = 0;   ///< L0→L1 folds completed
   std::uint64_t base_merges = 0;  ///< drains into the base
+  std::uint64_t base_rebuilds = 0;  ///< drains that found no free base
+                                    ///< and rebuilt it
   std::uint64_t merge_run_ops = 0;  ///< ops written building folded runs
-  std::uint64_t base_rebuild_triples = 0;  ///< triples written by base merges
+  std::uint64_t base_rebuild_triples = 0;  ///< triples drains wrote into a
+                                           ///< base (rebuilt triples, or
+                                           ///< ops applied in place)
   std::uint64_t staged_ops_total = 0;  ///< ops ever staged (write-amp denom)
 
   // Prefix-filter counters (zero until a run is sealed with filters

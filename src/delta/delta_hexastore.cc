@@ -1,6 +1,7 @@
 #include "delta/delta_hexastore.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -11,6 +12,80 @@
 #include "obs/scoped_timer.h"
 
 namespace hexastore {
+
+// One drained run as a base applies it: the run's sorted staged inserts
+// and tombstones and its pattern-erased predicates, as the drain that
+// first applied it computed them. A spare base replays the runs drained
+// since it was current; the run itself (op table, filter) is freed at
+// the drain.
+struct DeltaHexastore::DrainedRun {
+  IdTripleVec inserts;
+  IdTripleVec tombstones;
+  IdVec erased_predicates;
+
+  // Ops the run applies to a base.
+  std::size_t ops() const {
+    return inserts.size() + tombstones.size() + erased_predicates.size();
+  }
+
+  // In-place apply to a base nothing else reads: one BulkErase of the
+  // pattern tombstones' base matches (where a pattern erase finally pays
+  // O(matches), amortized into the drain) together with the point
+  // tombstones, then one BulkLoad merge of the staged inserts.
+  // O(run · log) plus one linear pass per touched list.
+  void ApplyInPlace(Hexastore* base) const {
+    IdTripleVec erased = tombstones;
+    for (Id p : erased_predicates) {
+      base->Scan(IdPattern{0, p, 0},
+                 [&erased](const IdTriple& t) { erased.push_back(t); });
+    }
+    base->BulkErase(erased);
+    base->BulkLoad(inserts);
+  }
+
+  // Rebuild, for when no base is free: materializes base ∖ pattern-erased
+  // ∖ tombstones ∪ inserts into the empty store `out`. Reads `base`
+  // only, so it runs off the mutex while readers share that base.
+  void MergeOffline(const Hexastore& base, Hexastore* out) const {
+    // Match() materializes in (s, p, o) order, so the tombstone cursor
+    // advances in lock-step.
+    const IdTripleVec existing = base.Match(IdPattern{});
+    IdTripleVec merged;
+    merged.reserve(existing.size() + inserts.size());
+    std::size_t ti = 0;
+    for (const IdTriple& t : existing) {
+      if (!erased_predicates.empty() &&
+          SortedContains(erased_predicates, t.p)) {
+        continue;  // pattern-suppressed (re-inserts arrive via `inserts`)
+      }
+      while (ti < tombstones.size() && tombstones[ti] < t) {
+        ++ti;
+      }
+      if (ti < tombstones.size() && tombstones[ti] == t) {
+        ++ti;
+        continue;
+      }
+      merged.push_back(t);
+    }
+    IdTripleVec all;
+    all.reserve(merged.size() + inserts.size());
+    std::merge(merged.begin(), merged.end(), inserts.begin(), inserts.end(),
+               std::back_inserter(all));
+    out->BulkLoad(all);
+  }
+};
+
+// A base the writer owns. Everything outside the writer — generations,
+// snapshots, merged views, base() results, a compactor job's rebuild
+// source — holds it through one shared pin whose deleter sets `released`
+// with a release store. The writer writes a base that was ever pinned
+// only after an acquire load sees the flag set, which orders every
+// holder's last read before the first write (a relaxed use_count() would
+// order nothing).
+struct DeltaHexastore::BaseCell {
+  Hexastore store;
+  std::atomic<bool> released{true};
+};
 
 namespace {
 
@@ -422,65 +497,6 @@ IdVec LayeredPredicatesOfObject(const LayerRefs& v, Id o) {
       [delta](Id p) { return !delta->PatternErased(p); });
 }
 
-// Off-thread merge of one delta run into a base: materializes
-// base ∖ pattern-erased ∖ tombstones ∪ inserts into a fresh store. Reads
-// only immutable state and the run's read accessors (SortedInserts may
-// sort the run's tail, internally synchronized like every lazy build),
-// so it is safe to run without the store mutex while other readers
-// lazily build the run's caches.
-std::shared_ptr<Hexastore> MergeOffline(const Hexastore* base,
-                                        const DeltaStore& run) {
-  IdTripleVec merged;
-  const IdTripleVec tombstones = run.SortedTombstones();
-  const IdTripleVec inserts = run.SortedInserts();
-  const IdVec& erased_preds = run.pattern_erased_predicates();
-  if (base != nullptr) {
-    // Match() materializes in (s, p, o) order, so the tombstone cursor
-    // advances in lock-step.
-    const IdTripleVec existing = base->Match(IdPattern{});
-    merged.reserve(existing.size() + inserts.size());
-    std::size_t ti = 0;
-    for (const IdTriple& t : existing) {
-      if (!erased_preds.empty() && SortedContains(erased_preds, t.p)) {
-        continue;  // pattern-suppressed (re-inserts arrive via `inserts`)
-      }
-      while (ti < tombstones.size() && tombstones[ti] < t) {
-        ++ti;
-      }
-      if (ti < tombstones.size() && tombstones[ti] == t) {
-        ++ti;
-        continue;
-      }
-      merged.push_back(t);
-    }
-  }
-  IdTripleVec all;
-  all.reserve(merged.size() + inserts.size());
-  std::merge(merged.begin(), merged.end(), inserts.begin(), inserts.end(),
-             std::back_inserter(all));
-  auto fresh = std::make_shared<Hexastore>();
-  fresh->BulkLoad(all);
-  return fresh;
-}
-
-// In-place merge of one delta run into a base no generation references.
-// Pattern tombstones purge their base matches first (this is where the
-// bulk erase finally pays O(matches), amortized into the drain), then
-// the point tombstones (each an O(log + shift) point erase), then one
-// sorted merge of the staged inserts through the non-empty BulkLoad
-// path.
-void ApplyInPlace(Hexastore* base, const DeltaStore& run) {
-  for (Id p : run.pattern_erased_predicates()) {
-    for (const IdTriple& t : base->Match(IdPattern{0, p, 0})) {
-      base->Erase(t);
-    }
-  }
-  for (const IdTriple& t : run.SortedTombstones()) {
-    base->Erase(t);
-  }
-  base->BulkLoad(run.SortedInserts());
-}
-
 // The sole delta layer's shared owner within a generation, for the
 // zero-copy accessor fast path; null when the chain is empty or has
 // more than one layer.
@@ -543,7 +559,7 @@ std::string DeltaOptions::Normalize() {
 }
 
 DeltaHexastore::DeltaHexastore(const DeltaOptions& options)
-    : base_(std::make_shared<Hexastore>()), trace_(options.trace_capacity) {
+    : base_(std::make_shared<BaseCell>()), trace_(options.trace_capacity) {
   DeltaOptions normalized = options;
   const std::string repaired = normalized.Normalize();
   if (!repaired.empty()) {
@@ -615,11 +631,16 @@ void DeltaHexastore::RegisterMeters() {
   registry_.RegisterCounter("hexa_delta_base_merges_total",
                             "drains into the base (in place or rebuilt)",
                             &meters_.base_merges);
+  registry_.RegisterCounter("hexa_delta_base_rebuilds_total",
+                            "drains that rebuilt the base because no base "
+                            "was free",
+                            &meters_.base_rebuilds);
   registry_.RegisterCounter("hexa_delta_merge_run_ops_total",
                             "ops written while building folded runs",
                             &meters_.merge_run_ops);
   registry_.RegisterCounter("hexa_delta_base_rebuild_triples_total",
-                            "triples written by base merges",
+                            "triples written into a base by drains "
+                            "(rebuilt triples, or ops applied in place)",
                             &meters_.base_rebuild_triples);
   registry_.RegisterCounter("hexa_delta_staged_ops_total",
                             "ops ever staged (write-amplification base)",
@@ -668,7 +689,7 @@ void DeltaHexastore::RegisterMeters() {
   registry_.RegisterHistogram("hexa_fold_latency_ns",
                               "L0 to L1 fold duration", &meters_.fold_ns);
   registry_.RegisterHistogram("hexa_base_merge_latency_ns",
-                              "base merge/rebuild duration",
+                              "drain duration (in place or rebuilt)",
                               &meters_.base_merge_ns);
   registry_.RegisterGauge("hexa_delta_staged_ops",
                           "ops staged and not yet merged into the base",
@@ -699,7 +720,7 @@ void DeltaHexastore::RefreshGaugesLocked() const {
   meters_.l0_runs.Set(static_cast<std::int64_t>(levels_.l0.size()));
   meters_.l1_ops.Set(static_cast<std::int64_t>(
       levels_.l1 == nullptr ? 0 : levels_.l1->op_count()));
-  meters_.base_triples.Set(static_cast<std::int64_t>(base_->size()));
+  meters_.base_triples.Set(static_cast<std::int64_t>(base_->store.size()));
   meters_.resident_bytes.Set(static_cast<std::int64_t>(
       (tracker_ == nullptr ? 0 : tracker_->resident()) +
       delta_->TableBytes()));
@@ -717,7 +738,7 @@ void DeltaHexastore::RebuildChainLocked() {
 bool DeltaHexastore::Insert(const IdTriple& t) {
   obs::ScopedTimer timer(&meters_.insert_ns);
   std::lock_guard<std::mutex> lock(mu_);
-  const LayerRefs refs{base_.get(), chain_.data(), chain_.size()};
+  const LayerRefs refs{&base_->store, chain_.data(), chain_.size()};
   // Read-only no-op check first: a duplicate insert must not pay the
   // copy-on-write clone an exposed delta would otherwise trigger.
   const bool beneath = LayeredContains(Beneath(refs), t);
@@ -738,7 +759,7 @@ bool DeltaHexastore::Insert(const IdTriple& t) {
 bool DeltaHexastore::Erase(const IdTriple& t) {
   obs::ScopedTimer timer(&meters_.erase_ns);
   std::lock_guard<std::mutex> lock(mu_);
-  const LayerRefs refs{base_.get(), chain_.data(), chain_.size()};
+  const LayerRefs refs{&base_->store, chain_.data(), chain_.size()};
   const bool beneath = LayeredContains(Beneath(refs), t);
   const DeltaStore::Presence staged = delta_->Lookup(t);
   if (staged == DeltaStore::Presence::kErased ||
@@ -757,7 +778,7 @@ bool DeltaHexastore::Erase(const IdTriple& t) {
 bool DeltaHexastore::Contains(const IdTriple& t) const {
   obs::ScopedTimer timer(&meters_.contains_ns);
   std::lock_guard<std::mutex> lock(mu_);
-  return LayeredContains({base_.get(), chain_.data(), chain_.size()}, t);
+  return LayeredContains({&base_->store, chain_.data(), chain_.size()}, t);
 }
 
 std::size_t DeltaHexastore::size() const {
@@ -774,7 +795,7 @@ void DeltaHexastore::Scan(const IdPattern& pattern,
   IdTripleVec matches;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    LayeredScan({base_.get(), chain_.data(), chain_.size()}, pattern,
+    LayeredScan({&base_->store, chain_.data(), chain_.size()}, pattern,
                 [&matches](const IdTriple& t) { matches.push_back(t); });
   }
   for (const IdTriple& t : matches) {
@@ -784,7 +805,9 @@ void DeltaHexastore::Scan(const IdPattern& pattern,
 
 std::size_t DeltaHexastore::MemoryBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return base_->MemoryBytes() + delta_->MemoryBytes() +
+  const std::size_t spare =
+      spare_ == nullptr ? 0 : spare_->store.MemoryBytes();
+  return base_->store.MemoryBytes() + spare + delta_->MemoryBytes() +
          levels_.MemoryBytes();
 }
 
@@ -801,16 +824,18 @@ void DeltaHexastore::BulkLoad(const IdTripleVec& triples) {
   if (!levels_.empty()) {
     RunJobLocked({Job::kDrain}, /*lock=*/nullptr);
   }
-  if (base_exposed_) {
+  // The spare would have to replay the load as well: drop it.
+  DropSpareLocked();
+  if (base_pin_ != nullptr) {
     // A generation reads the base: load into a rebuilt copy instead.
-    auto fresh = std::make_shared<Hexastore>();
-    fresh->BulkLoad(base_->Match(IdPattern{}));
+    auto fresh = std::make_shared<BaseCell>();
+    fresh->store.BulkLoad(base_->store.Match(IdPattern{}));
     base_ = std::move(fresh);
-    base_exposed_ = false;
+    base_pin_.reset();
   }
-  base_->BulkLoad(triples);
+  base_->store.BulkLoad(triples);
   trace_.Record(obs::TraceEvent::kBulkLoad, "writer", 0, triples.size());
-  size_ = base_->size();
+  size_ = base_->store.size();
   levels_size_ = size_;
   ++epoch_;
   dirty_ = true;
@@ -831,11 +856,12 @@ void DeltaHexastore::ClearLocked() {
   ++merge_ticket_;
   levels_.clear();
   drained_seals_ = meters_.seals.Value();  // as a drain would have
-  if (base_exposed_) {
-    base_ = std::make_shared<Hexastore>();
-    base_exposed_ = false;
+  DropSpareLocked();
+  if (base_pin_ != nullptr) {
+    base_ = std::make_shared<BaseCell>();
+    base_pin_.reset();
   } else {
-    base_->Clear();
+    base_->store.Clear();
   }
   if (delta_exposed_) {
     delta_ = FreshDeltaLocked();
@@ -870,7 +896,7 @@ std::size_t DeltaHexastore::ErasePattern(const IdPattern& pattern) {
     // base alike — no level is drained and the compactor is never waited
     // on.
     std::size_t matches = 0;
-    LayeredScan({base_.get(), chain_.data(), chain_.size()},
+    LayeredScan({&base_->store, chain_.data(), chain_.size()},
                 IdPattern{0, pattern.p, 0},
                 [&matches](const IdTriple&) { ++matches; });
     EnsureDeltaWritableLocked();
@@ -881,7 +907,7 @@ std::size_t DeltaHexastore::ErasePattern(const IdPattern& pattern) {
     return matches;
   }
   // General shape: the point-tombstone path, one staged op per match.
-  const LayerRefs refs{base_.get(), chain_.data(), chain_.size()};
+  const LayerRefs refs{&base_->store, chain_.data(), chain_.size()};
   IdTripleVec matches;
   LayeredScan(refs, pattern,
               [&matches](const IdTriple& t) { matches.push_back(t); });
@@ -891,7 +917,7 @@ std::size_t DeltaHexastore::ErasePattern(const IdPattern& pattern) {
   EnsureDeltaWritableLocked();
   for (const IdTriple& t : matches) {
     delta_->StageErase(
-        t, LayeredContains({base_.get(), chain_.data(), chain_.size() - 1},
+        t, LayeredContains({&base_->store, chain_.data(), chain_.size() - 1},
                            t));
   }
   meters_.staged_ops_total.Add(matches.size());
@@ -903,7 +929,7 @@ std::size_t DeltaHexastore::ErasePattern(const IdPattern& pattern) {
 
 std::uint64_t DeltaHexastore::EstimateMatches(const IdPattern& pattern) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return LayeredEstimate({base_.get(), chain_.data(), chain_.size()},
+  return LayeredEstimate({&base_->store, chain_.data(), chain_.size()},
                          pattern);
 }
 
@@ -948,8 +974,8 @@ StatsSnapshot DeltaHexastore::GatherStats() const {
   stats.compact_threshold = compact_threshold_;
   stats.compactions = meters_.compactions.Value();
   stats.epoch = epoch_;
-  stats.base_triples = base_->size();
-  stats.base_bytes = base_->MemoryBytes();
+  stats.base_triples = base_->store.size();
+  stats.base_bytes = base_->store.MemoryBytes();
   stats.delta_bytes = delta_->MemoryBytes() + levels_.MemoryBytes();
   stats.background = background_;
   stats.seals = meters_.seals.Value();
@@ -963,6 +989,7 @@ StatsSnapshot DeltaHexastore::GatherStats() const {
   stats.l1_ops = levels_.l1 == nullptr ? 0 : levels_.l1->op_count();
   stats.l0_merges = meters_.l0_merges.Value();
   stats.base_merges = meters_.base_merges.Value();
+  stats.base_rebuilds = meters_.base_rebuilds.Value();
   stats.merge_run_ops = meters_.merge_run_ops.Value();
   stats.base_rebuild_triples = meters_.base_rebuild_triples.Value();
   stats.staged_ops_total = meters_.staged_ops_total.Value();
@@ -1152,63 +1179,65 @@ MergedList DeltaHexastore::objects(Id s, Id p) const {
   std::lock_guard<std::mutex> lock(mu_);
   ExposeLocked();
   return LayeredObjects(
-      {base_, delta_, {base_.get(), chain_.data(), chain_.size()}}, s, p);
+      {PinBaseLocked(), delta_,
+       {&base_->store, chain_.data(), chain_.size()}}, s, p);
 }
 
 MergedList DeltaHexastore::predicates(Id s, Id o) const {
   std::lock_guard<std::mutex> lock(mu_);
   ExposeLocked();
   return LayeredPredicates(
-      {base_, delta_, {base_.get(), chain_.data(), chain_.size()}}, s, o);
+      {PinBaseLocked(), delta_,
+       {&base_->store, chain_.data(), chain_.size()}}, s, o);
 }
 
 MergedList DeltaHexastore::subjects(Id p, Id o) const {
   std::lock_guard<std::mutex> lock(mu_);
   ExposeLocked();
   return LayeredSubjects(
-      {base_, delta_, {base_.get(), chain_.data(), chain_.size()}}, p, o);
+      {PinBaseLocked(), delta_,
+       {&base_->store, chain_.data(), chain_.size()}}, p, o);
 }
 
 IdVec DeltaHexastore::predicates_of_subject(Id s) const {
   std::lock_guard<std::mutex> lock(mu_);
   return LayeredPredicatesOfSubject(
-      {base_.get(), chain_.data(), chain_.size()}, s);
+      {&base_->store, chain_.data(), chain_.size()}, s);
 }
 
 IdVec DeltaHexastore::objects_of_subject(Id s) const {
   std::lock_guard<std::mutex> lock(mu_);
   return LayeredObjectsOfSubject(
-      {base_.get(), chain_.data(), chain_.size()}, s);
+      {&base_->store, chain_.data(), chain_.size()}, s);
 }
 
 IdVec DeltaHexastore::subjects_of_predicate(Id p) const {
   std::lock_guard<std::mutex> lock(mu_);
   return LayeredSubjectsOfPredicate(
-      {base_.get(), chain_.data(), chain_.size()}, p);
+      {&base_->store, chain_.data(), chain_.size()}, p);
 }
 
 IdVec DeltaHexastore::objects_of_predicate(Id p) const {
   std::lock_guard<std::mutex> lock(mu_);
   return LayeredObjectsOfPredicate(
-      {base_.get(), chain_.data(), chain_.size()}, p);
+      {&base_->store, chain_.data(), chain_.size()}, p);
 }
 
 IdVec DeltaHexastore::subjects_of_object(Id o) const {
   std::lock_guard<std::mutex> lock(mu_);
   return LayeredSubjectsOfObject(
-      {base_.get(), chain_.data(), chain_.size()}, o);
+      {&base_->store, chain_.data(), chain_.size()}, o);
 }
 
 IdVec DeltaHexastore::predicates_of_object(Id o) const {
   std::lock_guard<std::mutex> lock(mu_);
   return LayeredPredicatesOfObject(
-      {base_.get(), chain_.data(), chain_.size()}, o);
+      {&base_->store, chain_.data(), chain_.size()}, o);
 }
 
 std::shared_ptr<const Hexastore> DeltaHexastore::base() const {
   std::lock_guard<std::mutex> lock(mu_);
-  base_exposed_ = true;
-  return base_;
+  return PinBaseLocked();
 }
 
 bool DeltaHexastore::CheckInvariants(std::string* error) const {
@@ -1221,8 +1250,23 @@ bool DeltaHexastore::CheckInvariants(std::string* error) const {
     }
     return false;
   };
-  if (!base_->CheckInvariants(error)) {
+  if (!base_->store.CheckInvariants(error)) {
     return false;
+  }
+  if (spare_ != nullptr) {
+    // The spare with its lag replayed must hold exactly the base.
+    Hexastore replayed;
+    replayed.BulkLoad(spare_->store.Match(IdPattern{}));
+    for (const DrainedRun& run : spare_lag_) {
+      run.ApplyInPlace(&replayed);
+    }
+    if (!replayed.CheckInvariants(error)) {
+      return false;
+    }
+    if (replayed.Match(IdPattern{}) != base_->store.Match(IdPattern{})) {
+      return fail("the spare base with its lag replayed differs from the "
+                  "base");
+    }
   }
   // Per-layer contract, bottom-up: staged inserts are disjoint from the
   // layers beneath, tombstones are a subset of them, and every op is
@@ -1230,7 +1274,7 @@ bool DeltaHexastore::CheckInvariants(std::string* error) const {
   const std::size_t l1_count = levels_.l1 == nullptr ? 0 : 1;
   for (std::size_t li = 0; li < chain_.size(); ++li) {
     const DeltaStore* layer = chain_[li];
-    const LayerRefs beneath{base_.get(), chain_.data(), li};
+    const LayerRefs beneath{&base_->store, chain_.data(), li};
     std::string label;
     if (li < l1_count) {
       label = "L1";
@@ -1320,7 +1364,7 @@ bool DeltaHexastore::CheckInvariants(std::string* error) const {
   // Size bookkeeping: the full merged scan must see exactly size_
   // triples (this also exercises the cross-layer tombstone math).
   std::size_t merged_size = 0;
-  LayeredScan({base_.get(), chain_.data(), chain_.size()}, IdPattern{},
+  LayeredScan({&base_->store, chain_.data(), chain_.size()}, IdPattern{},
               [&merged_size](const IdTriple&) { ++merged_size; });
   if (merged_size != size_) {
     std::ostringstream os;
@@ -1335,7 +1379,7 @@ bool DeltaHexastore::CheckInvariants(std::string* error) const {
 void DeltaHexastore::PublishLocked(std::size_t logical_size,
                                    bool include_active) const {
   auto gen = std::make_shared<DeltaGeneration>();
-  gen->base = base_;
+  gen->base = PinBaseLocked();
   gen->levels = levels_;
   // The staging buffer is settled before it escapes: Settle sorts only
   // what was staged since the last publication, so no reader of any
@@ -1360,7 +1404,6 @@ void DeltaHexastore::PublishLocked(std::size_t logical_size,
   }
   gen->size = logical_size;
   gen->epoch = epoch_;
-  base_exposed_ = true;
   // dirty_ means "the published generation does not cover the live
   // contents". A publication that excludes a non-empty staging buffer
   // (a merge-completion publish) must leave it set, or ExposeLocked's
@@ -1371,13 +1414,30 @@ void DeltaHexastore::PublishLocked(std::size_t logical_size,
 }
 
 void DeltaHexastore::ExposeLocked() const {
+  // Otherwise the current generation already covers exactly the live
+  // contents (and pins the base).
   if (dirty_) {
     PublishLocked(size_, /*include_active=*/true);
-  } else {
-    // Already published and unchanged since; the current generation
-    // covers exactly the live contents.
-    base_exposed_ = true;
   }
+}
+
+std::shared_ptr<const Hexastore> DeltaHexastore::PinBaseLocked() const {
+  if (base_pin_ == nullptr) {
+    // The flag was set by the last pin's deleter (or never cleared), and
+    // nothing outside the writer reaches this base yet.
+    base_->released.store(false, std::memory_order_relaxed);
+    std::shared_ptr<BaseCell> cell = base_;
+    base_pin_ = std::shared_ptr<const Hexastore>(
+        &cell->store, [cell](const Hexastore*) {
+          cell->released.store(true, std::memory_order_release);
+        });
+  }
+  return base_pin_;
+}
+
+void DeltaHexastore::DropSpareLocked() {
+  spare_.reset();
+  spare_lag_.clear();
 }
 
 void DeltaHexastore::EnsureDeltaWritableLocked() {
@@ -1487,7 +1547,7 @@ DeltaHexastore::Job DeltaHexastore::NextJobLocked() const {
   bool l1_due = false;
   if (levels_.l1 != nullptr) {
     const std::size_t fraction = static_cast<std::size_t>(
-        l1_base_fraction_ * static_cast<double>(base_->size()));
+        l1_base_fraction_ * static_cast<double>(base_->store.size()));
     l1_due = levels_.l1->op_count() >= std::max(compact_threshold_, fraction);
   }
   // Memory pressure overrides both triggers and pushes the hierarchy
@@ -1526,25 +1586,38 @@ void DeltaHexastore::RunJobLocked(Job job, std::unique_lock<std::mutex>* lock) {
   std::shared_ptr<const DeltaStore> l1 = levels_.l1;
   std::vector<std::shared_ptr<const DeltaStore>> runs = levels_.l0;
   const bool over = OverBudgetLocked();
-  // A drain rebuilds the base into a fresh store unless it runs inline
-  // over a base no generation references. Marking the base exposed keeps
-  // it immutable while the thread reads it: a concurrent Clear() swaps
-  // in a fresh object instead of clearing this one.
-  std::shared_ptr<const Hexastore> base;
-  if (drain && (on_thread || base_exposed_)) {
-    base_exposed_ = true;
-    base = base_;
+  // The drain's target, one decision for both placements: a base that
+  // nothing outside the writer reads takes the run in place — base_
+  // itself while it was never exposed (inline only: on the thread,
+  // writers read base_ meanwhile), else the spare once its pin is
+  // released, after it replays the runs it lags. Otherwise the drain
+  // rebuilds from a pin of base_, which also makes a concurrent
+  // Clear/BulkLoad swap base_ out instead of mutating it.
+  std::shared_ptr<BaseCell> target;
+  std::vector<DrainedRun> lag;
+  std::shared_ptr<const Hexastore> source;
+  if (drain) {
+    if (!on_thread && base_pin_ == nullptr) {
+      target = base_;
+    } else if (spare_ != nullptr &&
+               spare_->released.load(std::memory_order_acquire)) {
+      target = std::move(spare_);
+      lag = std::exchange(spare_lag_, {});
+    } else {
+      source = PinBaseLocked();
+    }
   }
   if (on_thread) {
     lock->unlock();
   }
 
-  // Build. The runs are frozen and read only through pure accessors.
+  // Build. The runs are frozen and read only through pure accessors; a
+  // target base is the job's alone.
   const bool timed = obs::MetricsEnabled();
   const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
   std::uint64_t fold_ops = 0;
   std::shared_ptr<const DeltaStore> folded = FoldRuns(l1, runs, &fold_ops);
-  std::shared_ptr<Hexastore> fresh;
+  DrainedRun drained;
   std::uint64_t base_written = 0;
   if (!drain) {
     // The new L1 run gets the colder filter budget, except under memory
@@ -1561,17 +1634,30 @@ void DeltaHexastore::RunJobLocked(Job job, std::unique_lock<std::mutex>* lock) {
       folded->Freeze();
     }
     folded->TrackMemory(tracker_);
-  } else if (base != nullptr) {
-    fresh = MergeOffline(base.get(), *folded);
-    base_written = fresh->size();
   } else {
-    ApplyInPlace(base_.get(), *folded);
-    base_written = folded->op_count();
+    // SortedInserts may sort the run's tail, internally synchronized like
+    // every lazy build, so this is safe off the mutex.
+    drained = {folded->SortedInserts(), folded->SortedTombstones(),
+               folded->pattern_erased_predicates()};
+    if (source != nullptr) {
+      target = std::make_shared<BaseCell>();
+      drained.MergeOffline(*source, &target->store);
+      base_written = target->store.size();
+    } else {
+      for (const DrainedRun& run : lag) {
+        run.ApplyInPlace(&target->store);
+        base_written += run.ops();
+      }
+      drained.ApplyInPlace(&target->store);
+      base_written += drained.ops();
+    }
   }
   const std::uint64_t dur = timed ? obs::NowNanos() - t0 : 0;
   if (on_thread) {
     lock->lock();
     if (ticket != merge_ticket_) {
+      // The inputs were replaced; a half-applied spare goes with the
+      // result (Clear/BulkLoad already dropped the spare's lag).
       meters_.merge_discards.Add();
       return;
     }
@@ -1582,11 +1668,34 @@ void DeltaHexastore::RunJobLocked(Job job, std::unique_lock<std::mutex>* lock) {
   levels_.l0.erase(
       levels_.l0.begin(),
       levels_.l0.begin() + static_cast<std::ptrdiff_t>(runs.size()));
+  // Spares the writer lets go: freed off the mutex on the thread.
+  std::vector<std::shared_ptr<BaseCell>> let_go;
   if (drain) {
     levels_.l1.reset();
-    if (fresh != nullptr) {
-      base_ = std::move(fresh);
-      base_exposed_ = false;
+    if (target != base_) {
+      // The replaced base becomes the spare, one run behind. A spare
+      // still pinned (this drain rebuilt) is let go.
+      let_go.push_back(std::exchange(spare_, std::move(base_)));
+      spare_lag_.clear();
+      base_ = std::move(target);
+      base_pin_.reset();
+    }
+    if (spare_ != nullptr) {
+      spare_lag_.push_back(std::move(drained));
+      std::size_t lag_ops = 0;
+      for (const DrainedRun& run : spare_lag_) {
+        lag_ops += run.ops();
+      }
+      // Past the base's size, catching up would cost more than the
+      // rebuild it saves (a store draining in place unpublished, or a
+      // run of mostly tombstones).
+      if (lag_ops > base_->store.size()) {
+        let_go.push_back(std::move(spare_));
+        spare_lag_.clear();
+      }
+    }
+    if (source != nullptr) {
+      meters_.base_rebuilds.Add();
     }
     meters_.base_rebuild_triples.Add(base_written);
     meters_.base_merges.Add();
@@ -1637,16 +1746,18 @@ void DeltaHexastore::RunJobLocked(Job job, std::unique_lock<std::mutex>* lock) {
   // would force a needless copy-on-write.
   const bool include_active = published_active_ops_ > 0;
   PublishLocked(include_active ? size_ : levels_size_, include_active);
-  // Destroy superseded generations, the old base and this job's inputs
-  // outside the mutex: freeing them under mu_ would stall writers for
-  // the whole teardown.
+  // Destroy superseded generations, this job's inputs and pins, and a
+  // let-go spare outside the mutex: freeing them under mu_ would stall
+  // writers for the whole teardown.
   auto garbage = gate_.TakeReclaimed();
   lock->unlock();
   garbage.clear();
   runs.clear();
   l1.reset();
   folded.reset();
-  base.reset();
+  lag.clear();
+  source.reset();
+  let_go.clear();
   lock->lock();
 }
 

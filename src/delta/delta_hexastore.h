@@ -24,11 +24,17 @@
 // run in one of two placements:
 //
 //   * inline (the default): on the writer, right after the seal, under
-//     the store mutex — applying a run to the base in place when no
-//     generation references it.
+//     the store mutex.
 //   * compactor thread (`background_compaction`): off the mutex, while
 //     writers keep sealing new L0 runs; the result commits only if no
 //     Clear/BulkLoad replaced its inputs meanwhile.
+//
+// Either placement drains into a base no reader holds, in place
+// (O(run · log)), instead of rebuilding all six indexes: the current
+// base while it was never exposed, else a *spare* — the base the last
+// drain replaced — once its pin is released, after it replays the runs
+// drained since (the left-right pattern). Only when neither is free
+// does a drain rebuild the base; the old one then becomes the spare.
 //
 // docs/delta-levels.md specifies the policy.
 //
@@ -369,8 +375,8 @@ class DeltaHexastore : public TripleStore {
   // -- Introspection -------------------------------------------------------
 
   /// The compacted base store (test/bench access; reflects the state as
-  /// of the last base merge). Shared ownership keeps the generation
-  /// alive across later merges.
+  /// of the last base merge). The handle pins that base: no drain writes
+  /// into it while the handle lives.
   std::shared_ptr<const Hexastore> base() const;
 
   /// Verifies base invariants plus the delta-layer contract for every
@@ -383,10 +389,11 @@ class DeltaHexastore : public TripleStore {
   //
   // Publication protocol: internal reads happen under mu_, so they are
   // ordered against writers by the mutex alone. The moment a generation
-  // escapes — GetSnapshot, a MergedList accessor, base(), a seal, or a
-  // compactor-thread job's commit — the objects it references are marked
-  // exposed and NEVER mutated in place again: writers clone the delta
-  // (copy-on-write) and merges rebuild-and-swap the base. Lock-free
+  // escapes — GetSnapshot, a MergedList accessor, base(), or a
+  // compactor-thread job's commit — the objects it references are
+  // marked exposed and not mutated in place while anything outside the
+  // writer holds them: writers clone the delta (copy-on-write), and
+  // drains write into a base nobody pins (see BaseCell). Lock-free
   // readers therefore only ever dereference frozen objects; the epoch
   // gate (generation.h) keeps them allocated.
 
@@ -399,6 +406,11 @@ class DeltaHexastore : public TripleStore {
   void PublishLocked(std::size_t logical_size, bool include_active) const;
   // Marks the current generation escaped and publishes it if dirty.
   void ExposeLocked() const;
+  // The pin of the current base every holder outside the writer shares;
+  // minted on first exposure (see BaseCell).
+  std::shared_ptr<const Hexastore> PinBaseLocked() const;
+  // Forgets the spare base and the runs it lags.
+  void DropSpareLocked();
   // Clones the delta iff it ever escaped (copy-on-write), so staged
   // mutations never alter a published generation.
   void EnsureDeltaWritableLocked();
@@ -450,17 +462,31 @@ class DeltaHexastore : public TripleStore {
   // coherent with the stats cut).
   void RefreshGaugesLocked() const;
 
+  // A base the writer owns, with the flag its pin's deleter sets, and
+  // one drained run as a base applies it (both defined in
+  // delta_hexastore.cc).
+  struct BaseCell;
+  struct DrainedRun;
+
   mutable std::mutex mu_;
-  std::shared_ptr<Hexastore> base_;
+  std::shared_ptr<BaseCell> base_;
+  // The writer's copy of base_'s pin; null while base_ was never exposed
+  // since it became current (a drain may then write base_ in place).
+  mutable std::shared_ptr<const Hexastore> base_pin_;
+  // The base the last drain replaced, kept to absorb the next drain in
+  // place once its pin is released; null when dropped (Clear, BulkLoad,
+  // or a lag costlier than a rebuild) or while a compactor job owns it.
+  std::shared_ptr<BaseCell> spare_;
+  // The runs drained since the spare was current, oldest first.
+  std::vector<DrainedRun> spare_lag_;
   DeltaLevels levels_;                 // sealed L0/L1 runs being merged
   std::shared_ptr<DeltaStore> delta_;  // open staging buffer
   // Cached bottom-up delta-layer chain: L1, L0 oldest→newest, delta_.
   // Rebuilt whenever any of those pointers changes; the hot paths read
   // it instead of re-deriving the chain per op.
   std::vector<const DeltaStore*> chain_;
-  // True once a pointer to the current base_/delta_ object left the
-  // mutex scope; cleared only when the pointer is replaced.
-  mutable bool base_exposed_ = false;
+  // True once a pointer to the current delta_ object left the mutex
+  // scope; cleared only when the pointer is replaced.
   mutable bool delta_exposed_ = false;
   // Set by every mutation/structure change; cleared by PublishLocked —
   // lets repeated exposures (accessor loops) skip redundant publishes.
@@ -522,6 +548,7 @@ class DeltaHexastore : public TripleStore {
     obs::Counter seal_overflows;
     obs::Counter l0_merges;
     obs::Counter base_merges;
+    obs::Counter base_rebuilds;     // drains that found no free base
     obs::Counter merge_run_ops;
     obs::Counter base_rebuild_triples;
     obs::Counter staged_ops_total;

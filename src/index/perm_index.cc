@@ -60,6 +60,17 @@ bool PermIndex::Erase(Id first, Id second) {
   return true;
 }
 
+void PermIndex::EraseAll(Id first, const IdVec& seconds) {
+  auto it = headers_.find(first);
+  if (it == headers_.end()) {
+    return;
+  }
+  SortedEraseAll(&it->second, seconds);
+  if (it->second.empty()) {
+    headers_.erase(it);
+  }
+}
+
 const IdVec* PermIndex::Find(Id first) const {
   auto it = headers_.find(first);
   return it == headers_.end() ? nullptr : &it->second;

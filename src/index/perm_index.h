@@ -61,6 +61,11 @@ class PermIndex {
   /// vector becomes empty. Returns false if absent.
   bool Erase(Id first, Id second);
 
+  /// Removes every id of the sorted `seconds` from the `first` header by
+  /// one linear set-difference; drops the header when its vector becomes
+  /// empty.
+  void EraseAll(Id first, const IdVec& seconds);
+
   /// The sorted second-role vector under `first`, or nullptr.
   const IdVec* Find(Id first) const;
 

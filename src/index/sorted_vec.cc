@@ -22,6 +22,31 @@ bool SortedErase(IdVec* vec, Id id) {
   return true;
 }
 
+std::size_t SortedEraseAll(IdVec* vec, const IdVec& ids) {
+  if (ids.empty()) {
+    return 0;
+  }
+  // Entries below the first id to remove stay where they are; the rest
+  // are compacted forward past every match.
+  auto out = std::lower_bound(vec->begin(), vec->end(), ids.front());
+  auto next = ids.begin();
+  for (auto in = out; in != vec->end(); ++in) {
+    while (next != ids.end() && *next < *in) {
+      ++next;
+    }
+    if (next == ids.end()) {
+      out = out == in ? vec->end() : std::move(in, vec->end(), out);
+      break;
+    }
+    if (*next != *in) {
+      *out++ = *in;
+    }
+  }
+  const auto removed = static_cast<std::size_t>(vec->end() - out);
+  vec->erase(out, vec->end());
+  return removed;
+}
+
 bool SortedContains(const IdVec& vec, Id id) {
   return std::binary_search(vec.begin(), vec.end(), id);
 }

@@ -23,6 +23,12 @@ bool SortedInsert(IdVec* vec, Id id);
 /// Removes `id`; returns false if absent.
 bool SortedErase(IdVec* vec, Id id);
 
+/// Removes every id of the sorted `ids` from `vec` by one linear
+/// set-difference in place (ids absent from `vec` are ignored; `ids` may
+/// repeat). Returns how many entries left `vec`. The bulk-erase
+/// primitive: one pass per list however many of its ids go.
+std::size_t SortedEraseAll(IdVec* vec, const IdVec& ids);
+
 /// Binary-search membership test.
 bool SortedContains(const IdVec& vec, Id id);
 

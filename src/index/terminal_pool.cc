@@ -23,6 +23,22 @@ bool TerminalListPool::Erase(ListFamily family, Id a, Id b, Id third) {
   return true;
 }
 
+std::size_t TerminalListPool::EraseAll(ListFamily family, Id a, Id b,
+                                       const IdVec& thirds, bool* emptied) {
+  *emptied = false;
+  auto& m = map(family);
+  auto it = m.find(IdPair{a, b});
+  if (it == m.end()) {
+    return 0;
+  }
+  const std::size_t removed = SortedEraseAll(&it->second, thirds);
+  if (it->second.empty()) {
+    m.erase(it);
+    *emptied = true;
+  }
+  return removed;
+}
+
 const IdVec* TerminalListPool::Find(ListFamily family, Id a, Id b) const {
   const auto& m = map(family);
   auto it = m.find(IdPair{a, b});

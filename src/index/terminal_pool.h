@@ -62,6 +62,13 @@ class TerminalListPool {
   /// empty. Returns false if the list or element was absent.
   bool Erase(ListFamily family, Id a, Id b, Id third);
 
+  /// Removes every id of the sorted `thirds` from the keyed list by one
+  /// linear set-difference and drops the list when it becomes empty.
+  /// Returns how many ids were removed; `*emptied` reports a dropped
+  /// list.
+  std::size_t EraseAll(ListFamily family, Id a, Id b, const IdVec& thirds,
+                       bool* emptied);
+
   /// The keyed list, or nullptr if it does not exist.
   const IdVec* Find(ListFamily family, Id a, Id b) const;
 

@@ -531,6 +531,7 @@ DeltaStats ShardedHexastore::Stats() const {
     total.l1_ops += s.l1_ops;
     total.l0_merges += s.l0_merges;
     total.base_merges += s.base_merges;
+    total.base_rebuilds += s.base_rebuilds;
     total.merge_run_ops += s.merge_run_ops;
     total.base_rebuild_triples += s.base_rebuild_triples;
     total.staged_ops_total += s.staged_ops_total;

@@ -844,6 +844,137 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.background ? "Thread" : "Inline");
     });
 
+// Drains write into a base no handle references: the first drain of a
+// published store rebuilds, and every later one applies its run in
+// place to the spare base unless a handle still pins it. The served
+// write pattern (a publication per batch, threshold 256) runs in three
+// phases: no handle held across drains, one snapshot held across three
+// drains, then released again. Every batch checks all shapes on the
+// live store, its new snapshot and the held snapshot against their
+// oracles, and CheckInvariants replays the spare's lag against the base.
+class SpareBaseTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SpareBaseTest, DrainsRebuildOnlyWhenAHandlePinsTheSpare) {
+  DeltaOptions options;
+  options.compact_threshold = 256;
+  options.background_compaction = GetParam();
+  DeltaHexastore store(options);
+  Rng rng(0x5BA4E + (GetParam() ? 1 : 0));
+  auto random_triple = [&rng] {
+    return IdTriple{rng.UniformRange(1, 60), rng.UniformRange(1, 20),
+                    rng.UniformRange(1, 60)};
+  };
+  // A base far larger than the ops either base absorbs here, so the
+  // spare is never dropped for its lag.
+  std::set<IdTriple> oracle;
+  IdTripleVec preload;
+  while (oracle.size() < 8000) {
+    const IdTriple t = random_triple();
+    if (oracle.insert(t).second) {
+      preload.push_back(t);
+    }
+  }
+  store.BulkLoad(preload);
+  std::vector<IdTriple> recent;
+
+  // Waits until no sealed run awaits the compactor (inline: at once).
+  auto settle_drains = [&store] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (store.Stats().sealed_ops > 0) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  DeltaHexastore::Snapshot held;
+  std::set<IdTriple> held_oracle;
+  // One 32-op batch, then a publication checked against the oracles.
+  auto batch = [&](int number) {
+    for (int op = 0; op < 32; ++op) {
+      const double dice = rng.NextDouble();
+      if (dice < 0.55) {
+        const IdTriple t = random_triple();
+        const bool inserted = oracle.insert(t).second;
+        ASSERT_EQ(store.Insert(t), inserted);
+        if (inserted) {
+          recent.push_back(t);
+        }
+      } else if (dice < 0.995) {
+        IdTriple t = random_triple();
+        if (!recent.empty() && rng.Bernoulli(0.5)) {
+          const std::size_t i = rng.Uniform(recent.size());
+          t = recent[i];
+          recent.erase(recent.begin() + static_cast<std::ptrdiff_t>(i));
+        } else if (rng.Bernoulli(0.7)) {
+          auto it = oracle.begin();
+          std::advance(it, rng.Uniform(oracle.size()));
+          t = *it;
+        }
+        ASSERT_EQ(store.Erase(t), oracle.erase(t) > 0);
+      } else {
+        const IdPattern q{rng.UniformRange(1, 60), 0, 0};
+        ASSERT_EQ(store.ErasePattern(q), OracleErasePattern(&oracle, q));
+      }
+    }
+    if (number % 40 == 17) {
+      // A pattern tombstone, replayed on the spare like any run.
+      const IdPattern q{0, rng.UniformRange(1, 20), 0};
+      ASSERT_EQ(store.ErasePattern(q), OracleErasePattern(&oracle, q));
+    }
+    const DeltaHexastore::Snapshot snap = store.GetSnapshot();
+    std::vector<IdTriple> anchors{random_triple()};
+    for (int i = 0; i < 2; ++i) {
+      auto it = oracle.begin();
+      std::advance(it, rng.Uniform(oracle.size()));
+      anchors.push_back(*it);
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectShapesMatch(store, oracle, anchors))
+        << "live store, batch " << number;
+    ASSERT_NO_FATAL_FAILURE(ExpectShapesMatch(snap, oracle, anchors))
+        << "new snapshot, batch " << number;
+    ASSERT_NO_FATAL_FAILURE(ExpectShapesMatch(held, held_oracle, anchors))
+        << "held snapshot, batch " << number;
+    std::string err;
+    ASSERT_TRUE(store.CheckInvariants(&err)) << err << ", batch " << number;
+  };
+  int batches = 0;
+  // Runs batches until `drains` more drains completed.
+  auto run_drains = [&](std::uint64_t drains) {
+    const std::uint64_t target = store.Stats().base_merges + drains;
+    while (store.Stats().base_merges < target) {
+      ASSERT_NO_FATAL_FAILURE(batch(batches++));
+      ASSERT_LT(batches, 2000);
+      ASSERT_NO_FATAL_FAILURE(settle_drains());
+    }
+  };
+
+  // No handle across a drain: only the first drain rebuilds (the base
+  // was pinned and no spare existed yet).
+  ASSERT_NO_FATAL_FAILURE(run_drains(6));
+  EXPECT_EQ(store.Stats().base_rebuilds, 1u);
+
+  // A snapshot held across three drains pins the base it saw. The first
+  // drain still finds the spare free and swaps; the next finds the held
+  // base as the spare and must rebuild; the third swaps again.
+  held = store.GetSnapshot();
+  held_oracle = oracle;
+  ASSERT_NO_FATAL_FAILURE(run_drains(3));
+  EXPECT_EQ(store.Stats().base_rebuilds, 2u);
+
+  // Released: later drains go back to the spare.
+  held = DeltaHexastore::Snapshot();
+  held_oracle.clear();
+  ASSERT_NO_FATAL_FAILURE(run_drains(4));
+  EXPECT_EQ(store.Stats().base_rebuilds, 2u);
+  EXPECT_EQ(store.size(), oracle.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Placements, SpareBaseTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Thread"
+                                                         : "Inline");
+                         });
+
 TEST(ChurnTest, ClearThenReuseKeepsInvariants) {
   Rng rng(7);
   Hexastore store;

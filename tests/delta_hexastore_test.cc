@@ -383,6 +383,80 @@ TEST(DeltaHexastoreTest, PublishPerBatchSortsEachInsertLogTimes) {
             2 * std::log2(static_cast<double>(kBatches)) * staged);
 }
 
+// One churn step of the spare-base tests: 128 inserts of fresh triples
+// and 128 erases of the oldest ones, so the size stays put and one
+// 256-op run seals and drains at the step's last op.
+void ChurnStep(DeltaHexastore* store, Id step, Id base_size) {
+  for (Id i = 0; i < 128; ++i) {
+    ASSERT_TRUE(store->Insert({base_size + step * 128 + i + 1, 1, 1}));
+  }
+  for (Id i = 0; i < 128; ++i) {
+    ASSERT_TRUE(store->Erase({step * 128 + i + 1, 1, 1}));
+  }
+}
+
+// Published every step, only the first drain rebuilds (no spare yet);
+// every later one applies in place to the spare after its catch-up (512
+// ops a use), however many ops the bases have absorbed since they were
+// built.
+TEST(DeltaHexastoreTest, UnpinnedSpareTakesEveryLaterDrain) {
+  constexpr Id kBase = 1000;
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 256});
+  IdTripleVec base;
+  for (Id s = 1; s <= kBase; ++s) {
+    base.push_back({s, 1, 1});
+  }
+  store.BulkLoad(base);
+  store.GetSnapshot();
+  std::vector<std::uint64_t> rebuilds;  // after each drain
+  for (Id step = 0; step < 13; ++step) {
+    ASSERT_NO_FATAL_FAILURE(ChurnStep(&store, step, kBase));
+    store.GetSnapshot();
+    const DeltaStats stats = store.Stats();
+    ASSERT_EQ(stats.base_merges, step + 1);
+    rebuilds.push_back(stats.base_rebuilds);
+    // The rebuild writes the whole base; an in-place drain its run and
+    // the one run its spare lags.
+    EXPECT_EQ(stats.base_rebuild_triples, kBase + step * 512);
+    if (step == 0) {
+      // The replaced base is kept as the spare and counted.
+      const std::size_t base_bytes = store.base()->MemoryBytes();
+      EXPECT_GT(store.MemoryBytes(), base_bytes + base_bytes / 2);
+    }
+    std::string err;
+    ASSERT_TRUE(store.CheckInvariants(&err)) << err;
+  }
+  EXPECT_EQ(rebuilds, std::vector<std::uint64_t>(13, 1));
+  EXPECT_EQ(store.size(), kBase);
+}
+
+// A store that drains in place without publishing lets its spare fall
+// behind: once the lag holds more ops than the base holds triples the
+// spare is dropped, so the next drain of a published base rebuilds
+// rather than replaying the lag.
+TEST(DeltaHexastoreTest, SpareLaggingPastTheBaseSizeIsDropped) {
+  constexpr Id kBase = 300;
+  DeltaHexastore store(DeltaOptions{.compact_threshold = 256});
+  IdTripleVec base;
+  for (Id s = 1; s <= kBase; ++s) {
+    base.push_back({s, 1, 1});
+  }
+  store.BulkLoad(base);
+  store.GetSnapshot();
+  ASSERT_NO_FATAL_FAILURE(ChurnStep(&store, 0, kBase));  // rebuilds
+  EXPECT_EQ(store.Stats().base_rebuilds, 1u);
+  // Unpublished: in place on the current base; the spare's lag grows to
+  // 512 ops against 300 triples and the spare is dropped.
+  ASSERT_NO_FATAL_FAILURE(ChurnStep(&store, 1, kBase));
+  EXPECT_EQ(store.Stats().base_rebuilds, 1u);
+  store.GetSnapshot();
+  ASSERT_NO_FATAL_FAILURE(ChurnStep(&store, 2, kBase));
+  EXPECT_EQ(store.Stats().base_rebuilds, 2u);
+  EXPECT_EQ(store.size(), kBase);
+  std::string err;
+  EXPECT_TRUE(store.CheckInvariants(&err)) << err;
+}
+
 TEST(DeltaHexastoreSnapshotIoTest, RoundTripsAndCompactsFirst) {
   Dictionary dict;
   DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});

@@ -578,6 +578,81 @@ TEST(EpochStressTest, ReadersHoldHandlesAcrossForcedCompactions) {
   EXPECT_EQ(epochs.active_reader_sections, 0);
 }
 
+// Inline drains write into the spare base once the last handle pinning
+// it is gone — a base other threads were reading moments earlier. With
+// a publication every 32 ops (as the server publishes per batch) and
+// reader threads that scan from, hold and drop wait-free handles, every
+// view must stay exact, and the spare must be reused: only drains that
+// find it pinned rebuild. Under TSan this checks that a
+// reader's last read of a base happens before the writer's first write.
+TEST(EpochStressTest, InlineDrainsReuseTheSpareReadersReleased) {
+  DeltaHexastore store(DeltaOptions{/*compact_threshold=*/256});
+  Rng rng(0x5BA4);
+  std::set<IdTriple> oracle;
+  IdTripleVec preload;
+  for (Id s = 1; s <= 3000; ++s) {
+    const IdTriple t{s, 1 + rng.Uniform(8), 1 + rng.Uniform(300)};
+    oracle.insert(t);
+    preload.push_back(t);
+  }
+  store.BulkLoad(preload);
+  store.GetSnapshot();
+
+  // Readers hold each handle only for one short probe (a predicate scan
+  // read twice, each scanned triple checked by Contains), so a drain
+  // usually finds the spare released however slow the build.
+  constexpr int kReaders = 2;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&store, &done, &failures, r] {
+      Rng reader_rng(9100 + r);
+      while (!done.load(std::memory_order_acquire)) {
+        {
+          const DeltaHexastore::Snapshot snap = store.AcquireReadHandle();
+          const IdPattern q{0, 1 + reader_rng.Uniform(8), 0};
+          const IdTripleVec first = snap.Match(q);
+          if (snap.Match(q) != first) {
+            failures.fetch_add(1);
+          }
+          for (const IdTriple& t : first) {
+            if (!snap.Contains(t)) {
+              failures.fetch_add(1);
+            }
+          }
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    });
+  }
+  for (int i = 0; i < 6000; ++i) {
+    const IdTriple t{1 + rng.Uniform(3000), 1 + rng.Uniform(8),
+                     1 + rng.Uniform(300)};
+    if (rng.Bernoulli(0.5)) {
+      ASSERT_EQ(store.Insert(t), oracle.insert(t).second);
+    } else {
+      ASSERT_EQ(store.Erase(t), oracle.erase(t) > 0);
+    }
+    if (i % 32 == 31) {
+      store.GetSnapshot();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  const DeltaStats stats = store.Stats();
+  EXPECT_GT(stats.base_merges, 5u);
+  EXPECT_LT(stats.base_rebuilds, stats.base_merges);
+  EXPECT_EQ(store.GetSnapshot().Match(IdPattern{}),
+            IdTripleVec(oracle.begin(), oracle.end()));
+  std::string err;
+  EXPECT_TRUE(store.CheckInvariants(&err)) << err;
+}
+
 // Pinned-generation query plans: BGP evaluation and sorted-list
 // intersections over a handle answer from exactly one generation while
 // the writer churns.
@@ -772,6 +847,7 @@ TEST(EpochStressTest, PlanCacheServesConcurrentSessionsUnderChurn) {
   PlanCache cache;
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
+  std::atomic<std::uint64_t> hot_reads{0};  // completed hot queries
   std::mutex golden_mu;
   std::string golden_stable;
 
@@ -812,18 +888,31 @@ TEST(EpochStressTest, PlanCacheServesConcurrentSessionsUnderChurn) {
             failures.fetch_add(1);  // a pinned read went backwards
           }
           last_hot_rows = rows;
+          hot_reads.fetch_add(1, std::memory_order_release);
         }
       }
     });
   }
 
   // Writer: grow the hot predicate (pre-encoded ids only — no dict
-  // mutation) and publish every batch so wait-free readers advance.
+  // mutation) and publish every batch so wait-free readers advance. After
+  // each publication it waits for four more hot queries — each reader
+  // has at most one in flight, so one of them started after the
+  // publication — so the readers see the cardinality drift however the
+  // threads are scheduled (a writer that finished before the readers ran
+  // left them nothing to invalidate).
   for (std::size_t i = 1; i < hot_triples.size(); ++i) {
     store.Insert(hot_triples[i]);
     if (i % 16 == 0) {
       store.GetSnapshot();
-      std::this_thread::yield();
+      const std::uint64_t target =
+          hot_reads.load(std::memory_order_acquire) + 4;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (hot_reads.load(std::memory_order_acquire) < target &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
     }
   }
   store.GetSnapshot();

@@ -330,6 +330,125 @@ TEST(HexastoreTest, EraseAfterBulkLoadKeepsInvariants) {
   EXPECT_TRUE(store.CheckInvariants(&err)) << err;
 }
 
+// BulkLoad counts the triples its o(s,p) merges add instead of walking
+// every list: repeats within a batch and triples already stored must
+// not count.
+TEST(HexastoreTest, BulkLoadIntoNonEmptyStoreCountsOnlyNewTriples) {
+  Rng rng(0x5123);
+  Hexastore store;
+  std::set<IdTriple> oracle;
+  for (int round = 0; round < 6; ++round) {
+    IdTripleVec batch;
+    for (int i = 0; i < 300; ++i) {
+      batch.push_back(IdTriple{1 + rng.Uniform(15), 1 + rng.Uniform(5),
+                               1 + rng.Uniform(15)});
+    }
+    // Repeats within the batch and a slice already in the store.
+    batch.push_back(batch.front());
+    batch.push_back(batch.back());
+    for (const IdTriple& t : oracle) {
+      if (rng.Bernoulli(0.1)) {
+        batch.push_back(t);
+      }
+    }
+    oracle.insert(batch.begin(), batch.end());
+    store.BulkLoad(batch);
+    ASSERT_EQ(store.size(), oracle.size()) << "round " << round;
+    ASSERT_EQ(store.size(), store.pool().EntryCount(ListFamily::kObjects));
+    std::string err;
+    ASSERT_TRUE(store.CheckInvariants(&err)) << err;
+  }
+}
+
+// BulkErase must leave exactly what one Erase per triple leaves. Each
+// erase set mixes a random sample, every triple of one subject, one
+// predicate and one object (so terminal lists and header vectors empty
+// out), absent triples and repeats.
+TEST(HexastoreTest, BulkEraseEqualsPointErases) {
+  Rng rng(0xB0E5);
+  for (int round = 0; round < 8; ++round) {
+    const Id universe = 6 + rng.Uniform(10);
+    IdTripleVec data;
+    for (int i = 0; i < 600; ++i) {
+      data.push_back(IdTriple{1 + rng.Uniform(universe),
+                              1 + rng.Uniform(universe / 2 + 1),
+                              1 + rng.Uniform(universe)});
+    }
+    Hexastore bulk;
+    Hexastore point;
+    bulk.BulkLoad(data);
+    point.BulkLoad(data);
+    const IdTripleVec original = bulk.Match(IdPattern{});
+
+    IdTripleVec erase;
+    for (const IdTriple& t : original) {
+      if (rng.Bernoulli(0.3)) {
+        erase.push_back(t);
+      }
+    }
+    const IdTriple anchor = original[rng.Uniform(original.size())];
+    for (const IdPattern& q : {IdPattern{anchor.s, 0, 0},
+                               IdPattern{0, anchor.p, 0},
+                               IdPattern{0, 0, anchor.o}}) {
+      for (const IdTriple& t : bulk.Match(q)) {
+        erase.push_back(t);
+      }
+    }
+    erase.push_back(IdTriple{universe + 1, 1, 1});  // absent subject
+    erase.push_back(IdTriple{anchor.s, anchor.p, universe + 7});  // absent
+    erase.push_back(erase.front());                               // repeat
+
+    bulk.BulkErase(erase);
+    for (const IdTriple& t : erase) {
+      point.Erase(t);
+    }
+    ASSERT_EQ(bulk.Match(IdPattern{}), point.Match(IdPattern{}))
+        << "round " << round;
+    EXPECT_EQ(bulk.size(), point.size());
+    EXPECT_EQ(bulk.size(), bulk.pool().EntryCount(ListFamily::kObjects));
+    EXPECT_EQ(bulk.predicates_of_subject(anchor.s), nullptr);
+    EXPECT_EQ(bulk.subjects_of_predicate(anchor.p), nullptr);
+    EXPECT_EQ(bulk.subjects_of_object(anchor.o), nullptr);
+    EXPECT_EQ(bulk.DistinctSubjects(), point.DistinctSubjects());
+    EXPECT_EQ(bulk.DistinctPredicates(), point.DistinctPredicates());
+    EXPECT_EQ(bulk.DistinctObjects(), point.DistinctObjects());
+    std::string err;
+    ASSERT_TRUE(bulk.CheckInvariants(&err)) << err;
+
+    // Erasing what a BulkLoad added round-trips (the objects lie past
+    // the universe, so every added triple is new).
+    const IdTripleVec erased_state = bulk.Match(IdPattern{});
+    IdTripleVec added;
+    for (int i = 0; i < 200; ++i) {
+      added.push_back(IdTriple{1 + rng.Uniform(universe + 3),
+                               1 + rng.Uniform(universe),
+                               universe + 1 + rng.Uniform(5)});
+    }
+    bulk.BulkLoad(added);
+    bulk.BulkErase(added);
+    EXPECT_EQ(bulk.Match(IdPattern{}), erased_state) << "round " << round;
+    ASSERT_TRUE(bulk.CheckInvariants(&err)) << err;
+  }
+}
+
+TEST(HexastoreTest, BulkEraseOfEverythingEmptiesTheStore) {
+  Hexastore store;
+  store.BulkLoad(FigureOneData());
+  IdTripleVec all = store.Match(IdPattern{});
+  store.BulkErase(all);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.DistinctSubjects(), 0u);
+  EXPECT_EQ(store.DistinctPredicates(), 0u);
+  EXPECT_EQ(store.DistinctObjects(), 0u);
+  for (int f = 0; f < 3; ++f) {
+    EXPECT_EQ(store.pool().ListCount(static_cast<ListFamily>(f)), 0u);
+  }
+  std::string err;
+  EXPECT_TRUE(store.CheckInvariants(&err)) << err;
+  store.BulkErase(all);  // erasing from an empty store is a no-op
+  EXPECT_EQ(store.size(), 0u);
+}
+
 // ---- Randomized property tests ------------------------------------------
 
 class HexastorePropertyTest

@@ -79,6 +79,33 @@ TEST(StatsFormatTest, DeltaStatsFlatInlineAfterDrainsGolden) {
             "1 (0 run ops + 300 rebuilt triples over 300 staged)\n");
 }
 
+// A served flat store whose first drain rebuilt the base and whose later
+// drains applied in place to the spare: the merges line names the
+// rebuilds.
+TEST(StatsFormatTest, DeltaStatsFlatInlineWithRebuildsGolden) {
+  DeltaStats d;
+  d.compact_threshold = 100;
+  d.compactions = 5;
+  d.epoch = 5;
+  d.base_triples = 1000;
+  d.base_bytes = 9000;
+  d.seals = 5;
+  d.base_merges = 5;
+  d.base_rebuilds = 1;
+  d.base_rebuild_triples = 1700;
+  d.staged_ops_total = 500;
+  EXPECT_EQ(d.ToString(),
+            "DeltaHexastore delta layer:\n"
+            "  staged: 0 inserts, 0 tombstones, 0 pattern tombstones "
+            "(threshold 100)\n"
+            "  compactions: 5, epoch: 5\n"
+            "  base: 1000 triples, 9000 bytes; delta: 0 bytes\n"
+            "  inline: 5 seals, 0 overflows, 0 ops sealed now\n"
+            "  merges: 0 L0->L1 folds, 5 base merges (1 rebuilt); write "
+            "amplification 3.4 (0 run ops + 1700 rebuilt triples over 500 "
+            "staged)\n");
+}
+
 // Every conditional section armed: background, levels, filters, budget.
 TEST(StatsFormatTest, DeltaStatsFullGolden) {
   DeltaStats d;
