@@ -76,12 +76,11 @@ struct DeltaHexastore::DrainedRun {
 };
 
 // A base the writer owns. Everything outside the writer — generations,
-// snapshots, merged views, base() results, a compactor job's rebuild
-// source — holds it through one shared pin whose deleter sets `released`
-// with a release store. The writer writes a base that was ever pinned
-// only after an acquire load sees the flag set, which orders every
-// holder's last read before the first write (a relaxed use_count() would
-// order nothing).
+// snapshots, base() results, a compactor job's rebuild source — holds it
+// through one shared pin whose deleter sets `released` with a release
+// store. The writer writes a base that was ever pinned only after an
+// acquire load sees the flag set, which orders every holder's last read
+// before the first write (a relaxed use_count() would order nothing).
 struct DeltaHexastore::BaseCell {
   Hexastore store;
   std::atomic<bool> released{true};
@@ -99,8 +98,8 @@ namespace {
 // Raw pointers: the hot paths (every Insert/Erase/Contains) build one of
 // these per call under the store mutex, where the owners are guaranteed
 // alive — shared_ptr members would add refcount traffic to exactly the
-// write path this subsystem exists to keep flat. The accessor helpers
-// that hand out views outliving the call take OverlayView instead.
+// write path this subsystem exists to keep flat. A Snapshot builds one
+// over the generation it pins, which owns every layer.
 struct LayerRefs {
   const Hexastore* base = nullptr;
   const DeltaStore* const* layers = nullptr;
@@ -112,16 +111,6 @@ struct LayerRefs {
 LayerRefs Beneath(const LayerRefs& v) {
   return {v.base, v.layers, v.count == 0 ? 0 : v.count - 1};
 }
-
-// Shared-ownership variant for helpers whose result (a MergedList) must
-// keep its generation alive after the mutex is released. `overlay` is
-// the sole delta layer when refs.count <= 1 (the zero-copy fast path);
-// with more layers the accessors materialize and own their ids.
-struct OverlayView {
-  std::shared_ptr<const Hexastore> base;
-  std::shared_ptr<const DeltaStore> overlay;
-  LayerRefs refs;
-};
 
 // Merged membership test across the chain: the newest layer's verdict
 // wins, the base answers only when no layer staged anything for `t`.
@@ -243,288 +232,8 @@ std::uint64_t LayeredEstimate(const LayerRefs& v, const IdPattern& pattern) {
   return EstimateUpTo(v, v.count, pattern);
 }
 
-// Size of the base terminal list under `key` after the delta's pattern
-// tombstones are applied: an o(s,p) or s(p,o) list dies wholesale when
-// its predicate key side is pattern-erased, while a p(s,o) list loses
-// exactly its pattern-erased members.
-std::size_t EffectiveBaseListSize(const Hexastore* base,
-                                  const DeltaStore& delta,
-                                  ListFamily family, const IdPair& key) {
-  const IdVec* list =
-      base == nullptr ? nullptr : base->pool().Find(family, key.a, key.b);
-  if (list == nullptr) {
-    return 0;
-  }
-  if (!delta.HasPatternErases()) {
-    return list->size();
-  }
-  switch (family) {
-    case ListFamily::kObjects:  // key (s, p)
-      return delta.PatternErased(key.b) ? 0 : list->size();
-    case ListFamily::kSubjects:  // key (p, o)
-      return delta.PatternErased(key.a) ? 0 : list->size();
-    case ListFamily::kPredicates: {  // key (s, o); members are predicates
-      std::size_t n = 0;
-      for (Id p : *list) {
-        if (!delta.PatternErased(p)) {
-          ++n;
-        }
-      }
-      return n;
-    }
-  }
-  return list->size();
-}
-
-// Merged header vector: the base index's sorted header-member vector
-// adjusted by one delta layer's touched terminal lists. A second-level id
-// stays in (or joins) the vector iff the merged terminal list under the
-// (header, id) pair is non-empty — exactly the rule Hexastore::Erase uses
-// to drop emptied pairs.
-//
-// `match_a` selects which side of the family's (a, b) key is the header
-// role; the other side is the second-level id. `base_member_alive` is
-// the pattern-tombstone filter for untouched base members (only
-// consulted when the delta has pattern erases — the common path copies
-// the base vector untouched).
-template <typename AliveFn>
-IdVec MergedHeaderVec(const Hexastore* base, const DeltaStore* delta,
-                      ListFamily family, bool match_a, Id header,
-                      const IdVec* base_vec, AliveFn&& base_member_alive) {
-  IdVec out;
-  if (base_vec != nullptr) {
-    if (delta == nullptr || !delta->HasPatternErases()) {
-      out = *base_vec;
-    } else {
-      out.reserve(base_vec->size());
-      for (Id member : *base_vec) {
-        if (base_member_alive(member)) {
-          out.push_back(member);
-        }
-      }
-    }
-  }
-  if (delta == nullptr) {
-    return out;
-  }
-  delta->ForEachList(
-      family, [&](const IdPair& key, const DeltaList& lists) {
-        if ((match_a ? key.a : key.b) != header) {
-          return;
-        }
-        const Id other = match_a ? key.b : key.a;
-        const std::size_t merged_size =
-            EffectiveBaseListSize(base, *delta, family, key) +
-            lists.adds.size() - lists.removes.size();
-        if (merged_size > 0) {
-          SortedInsert(&out, other);
-        } else {
-          SortedErase(&out, other);
-        }
-      });
-  return out;
-}
-
-// Materialized terminal-list fallback for multi-layer views (taken
-// whenever sealed runs exist under the active buffer): scan the bound
-// pair and collect the third role. The result vector is owned by the
-// returned MergedList, so nothing points into any run.
-MergedList MaterializedList(const OverlayView& v, const IdPattern& pattern,
-                            Id IdTriple::*third) {
-  auto owned = std::make_shared<IdVec>();
-  LayeredScan(v.refs, pattern, [&owned, third](const IdTriple& t) {
-    owned->push_back(t.*third);
-  });
-  SortUnique(owned.get());
-  return MergedList(nullptr, nullptr, std::move(owned), nullptr, nullptr);
-}
-
-// Materialized header-vector fallback for multi-layer views: scan the
-// single bound role and collect the distinct values of `member`.
-IdVec MaterializedHeaderVec(const LayerRefs& v, const IdPattern& pattern,
-                            Id IdTriple::*member) {
-  IdVec out;
-  LayeredScan(v, pattern,
-              [&out, member](const IdTriple& t) { out.push_back(t.*member); });
-  SortUnique(&out);
-  return out;
-}
-
-// -- Single-overlay (base + one layer) accessor bodies --------------------
-// The zero-copy fast paths, valid whenever at most one delta layer
-// exists (v.overlay — usually the active buffer; for a generation whose
-// only layer is an L1 run, that run).
-
-MergedList LayeredObjects(const OverlayView& v, Id s, Id p) {
-  if (v.refs.count > 1) {
-    return MaterializedList(v, IdPattern{s, p, 0}, &IdTriple::o);
-  }
-  const DeltaStore* delta = v.overlay.get();
-  const DeltaList* lists =
-      delta == nullptr ? nullptr : delta->FindLists(ListFamily::kObjects, s, p);
-  const IdVec* adds = lists == nullptr ? nullptr : &lists->adds;
-  const IdVec* base_list =
-      v.base == nullptr ? nullptr : v.base->objects(s, p);
-  if (delta != nullptr && delta->PatternErased(p)) {
-    // The whole base o(s,p) list is pattern-tombstoned; only staged
-    // (re-)inserts survive. Point removes cannot exist for this p.
-    return MergedList(v.base, v.overlay, static_cast<const IdVec*>(nullptr),
-                      adds, nullptr);
-  }
-  return MergedList(v.base, v.overlay, base_list, adds,
-                    lists == nullptr ? nullptr : &lists->removes);
-}
-
-MergedList LayeredPredicates(const OverlayView& v, Id s, Id o) {
-  if (v.refs.count > 1) {
-    return MaterializedList(v, IdPattern{s, 0, o}, &IdTriple::p);
-  }
-  const DeltaStore* delta = v.overlay.get();
-  const DeltaList* lists =
-      delta == nullptr ? nullptr
-                       : delta->FindLists(ListFamily::kPredicates, s, o);
-  const IdVec* adds = lists == nullptr ? nullptr : &lists->adds;
-  const IdVec* removes = lists == nullptr ? nullptr : &lists->removes;
-  const IdVec* base_list =
-      v.base == nullptr ? nullptr : v.base->predicates(s, o);
-  if (delta != nullptr && delta->HasPatternErases() && base_list != nullptr) {
-    // Members of p(s,o) are predicates: drop the pattern-erased ones
-    // from the base side (the view owns the filtered copy).
-    auto filtered = std::make_shared<IdVec>();
-    filtered->reserve(base_list->size());
-    for (Id p : *base_list) {
-      if (!delta->PatternErased(p)) {
-        filtered->push_back(p);
-      }
-    }
-    return MergedList(v.base, v.overlay, std::move(filtered), adds, removes);
-  }
-  return MergedList(v.base, v.overlay, base_list, adds, removes);
-}
-
-MergedList LayeredSubjects(const OverlayView& v, Id p, Id o) {
-  if (v.refs.count > 1) {
-    return MaterializedList(v, IdPattern{0, p, o}, &IdTriple::s);
-  }
-  const DeltaStore* delta = v.overlay.get();
-  const DeltaList* lists =
-      delta == nullptr ? nullptr
-                       : delta->FindLists(ListFamily::kSubjects, p, o);
-  const IdVec* adds = lists == nullptr ? nullptr : &lists->adds;
-  const IdVec* base_list =
-      v.base == nullptr ? nullptr : v.base->subjects(p, o);
-  if (delta != nullptr && delta->PatternErased(p)) {
-    return MergedList(v.base, v.overlay, static_cast<const IdVec*>(nullptr),
-                      adds, nullptr);
-  }
-  return MergedList(v.base, v.overlay, base_list, adds,
-                    lists == nullptr ? nullptr : &lists->removes);
-}
-
-IdVec LayeredPredicatesOfSubject(const LayerRefs& v, Id s) {
-  if (v.count > 1) {
-    return MaterializedHeaderVec(v, IdPattern{s, 0, 0}, &IdTriple::p);
-  }
-  const DeltaStore* delta = v.count == 1 ? v.layers[0] : nullptr;
-  return MergedHeaderVec(
-      v.base, delta, ListFamily::kObjects, /*match_a=*/true, s,
-      v.base == nullptr ? nullptr : v.base->predicates_of_subject(s),
-      [delta](Id p) { return !delta->PatternErased(p); });
-}
-
-IdVec LayeredObjectsOfSubject(const LayerRefs& v, Id s) {
-  if (v.count > 1) {
-    return MaterializedHeaderVec(v, IdPattern{s, 0, 0}, &IdTriple::o);
-  }
-  const DeltaStore* delta = v.count == 1 ? v.layers[0] : nullptr;
-  const Hexastore* base = v.base;
-  return MergedHeaderVec(
-      base, delta, ListFamily::kPredicates, /*match_a=*/true, s,
-      base == nullptr ? nullptr : base->objects_of_subject(s),
-      [base, delta, s](Id o) {
-        return EffectiveBaseListSize(base, *delta, ListFamily::kPredicates,
-                                     IdPair{s, o}) > 0;
-      });
-}
-
-IdVec LayeredSubjectsOfPredicate(const LayerRefs& v, Id p) {
-  if (v.count > 1) {
-    return MaterializedHeaderVec(v, IdPattern{0, p, 0}, &IdTriple::s);
-  }
-  const DeltaStore* delta = v.count == 1 ? v.layers[0] : nullptr;
-  const bool erased = delta != nullptr && delta->PatternErased(p);
-  return MergedHeaderVec(
-      v.base, delta, ListFamily::kObjects, /*match_a=*/false, p,
-      v.base == nullptr ? nullptr : v.base->subjects_of_predicate(p),
-      [erased](Id) { return !erased; });
-}
-
-IdVec LayeredObjectsOfPredicate(const LayerRefs& v, Id p) {
-  if (v.count > 1) {
-    return MaterializedHeaderVec(v, IdPattern{0, p, 0}, &IdTriple::o);
-  }
-  const DeltaStore* delta = v.count == 1 ? v.layers[0] : nullptr;
-  const bool erased = delta != nullptr && delta->PatternErased(p);
-  return MergedHeaderVec(
-      v.base, delta, ListFamily::kSubjects, /*match_a=*/true, p,
-      v.base == nullptr ? nullptr : v.base->objects_of_predicate(p),
-      [erased](Id) { return !erased; });
-}
-
-IdVec LayeredSubjectsOfObject(const LayerRefs& v, Id o) {
-  if (v.count > 1) {
-    return MaterializedHeaderVec(v, IdPattern{0, 0, o}, &IdTriple::s);
-  }
-  const DeltaStore* delta = v.count == 1 ? v.layers[0] : nullptr;
-  const Hexastore* base = v.base;
-  return MergedHeaderVec(
-      base, delta, ListFamily::kPredicates, /*match_a=*/false, o,
-      base == nullptr ? nullptr : base->subjects_of_object(o),
-      [base, delta, o](Id s) {
-        return EffectiveBaseListSize(base, *delta, ListFamily::kPredicates,
-                                     IdPair{s, o}) > 0;
-      });
-}
-
-IdVec LayeredPredicatesOfObject(const LayerRefs& v, Id o) {
-  if (v.count > 1) {
-    return MaterializedHeaderVec(v, IdPattern{0, 0, o}, &IdTriple::p);
-  }
-  const DeltaStore* delta = v.count == 1 ? v.layers[0] : nullptr;
-  return MergedHeaderVec(
-      v.base, delta, ListFamily::kSubjects, /*match_a=*/false, o,
-      v.base == nullptr ? nullptr : v.base->predicates_of_object(o),
-      [delta](Id p) { return !delta->PatternErased(p); });
-}
-
-// The sole delta layer's shared owner within a generation, for the
-// zero-copy accessor fast path; null when the chain is empty or has
-// more than one layer.
-std::shared_ptr<const DeltaStore> SoleLayerOwner(const DeltaGeneration& gen) {
-  if (gen.chain.size() != 1) {
-    return nullptr;
-  }
-  const DeltaStore* sole = gen.chain[0];
-  if (gen.active.get() == sole) {
-    return gen.active;
-  }
-  if (gen.levels.l1.get() == sole) {
-    return gen.levels.l1;
-  }
-  for (const auto& run : gen.levels.l0) {
-    if (run.get() == sole) {
-      return run;
-    }
-  }
-  return nullptr;
-}
-
 LayerRefs GenRefs(const DeltaGeneration& gen) {
   return {gen.base.get(), gen.chain.data(), gen.chain.size()};
-}
-
-OverlayView GenView(const DeltaGeneration& gen) {
-  return {gen.base, SoleLayerOwner(gen), GenRefs(gen)};
 }
 
 }  // namespace
@@ -1017,24 +726,40 @@ EpochStats DeltaHexastore::EpochCounters() const {
   return GatherStats().epoch;
 }
 
+// The exports refresh only the gauges under the mutex: GatherStats would
+// also walk every list of the base for base_bytes, stalling writers for
+// the whole walk on every scrape.
 std::string DeltaHexastore::MetricsText() const {
-  GatherStats();  // refresh gauges under the mutex
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RefreshGaugesLocked();
+  }
   return registry_.RenderPrometheus();
 }
 
 std::string DeltaHexastore::MetricsJson() const {
-  GatherStats();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RefreshGaugesLocked();
+  }
   return registry_.RenderJson();
 }
 
 bool DeltaHexastore::DumpMetricsJson(const std::string& path) const {
-  GatherStats();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RefreshGaugesLocked();
+  }
   return registry_.WriteJsonFile(path);
 }
 
 DeltaHexastore::Snapshot DeltaHexastore::GetSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ExposeLocked();
+  // Unless dirty, the current generation already covers exactly the live
+  // contents (and pins the base).
+  if (dirty_) {
+    PublishLocked(size_, /*include_active=*/true);
+  }
   return Snapshot(gate_.Acquire());
 }
 
@@ -1110,131 +835,6 @@ std::uint64_t DeltaHexastore::Snapshot::staged_ops() const {
   return ops;
 }
 
-MergedList DeltaHexastore::Snapshot::objects(Id s, Id p) const {
-  if (gen_ == nullptr) {
-    return MergedList();
-  }
-  return LayeredObjects(GenView(*gen_), s, p);
-}
-
-MergedList DeltaHexastore::Snapshot::predicates(Id s, Id o) const {
-  if (gen_ == nullptr) {
-    return MergedList();
-  }
-  return LayeredPredicates(GenView(*gen_), s, o);
-}
-
-MergedList DeltaHexastore::Snapshot::subjects(Id p, Id o) const {
-  if (gen_ == nullptr) {
-    return MergedList();
-  }
-  return LayeredSubjects(GenView(*gen_), p, o);
-}
-
-IdVec DeltaHexastore::Snapshot::predicates_of_subject(Id s) const {
-  if (gen_ == nullptr) {
-    return IdVec();
-  }
-  return LayeredPredicatesOfSubject(GenRefs(*gen_), s);
-}
-
-IdVec DeltaHexastore::Snapshot::objects_of_subject(Id s) const {
-  if (gen_ == nullptr) {
-    return IdVec();
-  }
-  return LayeredObjectsOfSubject(GenRefs(*gen_), s);
-}
-
-IdVec DeltaHexastore::Snapshot::subjects_of_predicate(Id p) const {
-  if (gen_ == nullptr) {
-    return IdVec();
-  }
-  return LayeredSubjectsOfPredicate(GenRefs(*gen_), p);
-}
-
-IdVec DeltaHexastore::Snapshot::objects_of_predicate(Id p) const {
-  if (gen_ == nullptr) {
-    return IdVec();
-  }
-  return LayeredObjectsOfPredicate(GenRefs(*gen_), p);
-}
-
-IdVec DeltaHexastore::Snapshot::subjects_of_object(Id o) const {
-  if (gen_ == nullptr) {
-    return IdVec();
-  }
-  return LayeredSubjectsOfObject(GenRefs(*gen_), o);
-}
-
-IdVec DeltaHexastore::Snapshot::predicates_of_object(Id o) const {
-  if (gen_ == nullptr) {
-    return IdVec();
-  }
-  return LayeredPredicatesOfObject(GenRefs(*gen_), o);
-}
-
-// -- Live merged accessor views -------------------------------------------
-
-MergedList DeltaHexastore::objects(Id s, Id p) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ExposeLocked();
-  return LayeredObjects(
-      {PinBaseLocked(), delta_,
-       {&base_->store, chain_.data(), chain_.size()}}, s, p);
-}
-
-MergedList DeltaHexastore::predicates(Id s, Id o) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ExposeLocked();
-  return LayeredPredicates(
-      {PinBaseLocked(), delta_,
-       {&base_->store, chain_.data(), chain_.size()}}, s, o);
-}
-
-MergedList DeltaHexastore::subjects(Id p, Id o) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ExposeLocked();
-  return LayeredSubjects(
-      {PinBaseLocked(), delta_,
-       {&base_->store, chain_.data(), chain_.size()}}, p, o);
-}
-
-IdVec DeltaHexastore::predicates_of_subject(Id s) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return LayeredPredicatesOfSubject(
-      {&base_->store, chain_.data(), chain_.size()}, s);
-}
-
-IdVec DeltaHexastore::objects_of_subject(Id s) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return LayeredObjectsOfSubject(
-      {&base_->store, chain_.data(), chain_.size()}, s);
-}
-
-IdVec DeltaHexastore::subjects_of_predicate(Id p) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return LayeredSubjectsOfPredicate(
-      {&base_->store, chain_.data(), chain_.size()}, p);
-}
-
-IdVec DeltaHexastore::objects_of_predicate(Id p) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return LayeredObjectsOfPredicate(
-      {&base_->store, chain_.data(), chain_.size()}, p);
-}
-
-IdVec DeltaHexastore::subjects_of_object(Id o) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return LayeredSubjectsOfObject(
-      {&base_->store, chain_.data(), chain_.size()}, o);
-}
-
-IdVec DeltaHexastore::predicates_of_object(Id o) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return LayeredPredicatesOfObject(
-      {&base_->store, chain_.data(), chain_.size()}, o);
-}
-
 std::shared_ptr<const Hexastore> DeltaHexastore::base() const {
   std::lock_guard<std::mutex> lock(mu_);
   return PinBaseLocked();
@@ -1269,8 +869,7 @@ bool DeltaHexastore::CheckInvariants(std::string* error) const {
     }
   }
   // Per-layer contract, bottom-up: staged inserts are disjoint from the
-  // layers beneath, tombstones are a subset of them, and every op is
-  // mirrored in all three side-list families of its own layer.
+  // layers beneath, and tombstones are a subset of them.
   const std::size_t l1_count = levels_.l1 == nullptr ? 0 : 1;
   for (std::size_t li = 0; li < chain_.size(); ++li) {
     const DeltaStore* layer = chain_[li];
@@ -1303,22 +902,6 @@ bool DeltaHexastore::CheckInvariants(std::string* error) const {
         ok = false;
         msg = label +
               ": tombstone absent beneath or subsumed by a pattern erase";
-        return;
-      }
-      const DeltaList* objects =
-          layer->FindLists(ListFamily::kObjects, t.s, t.p);
-      const DeltaList* predicates =
-          layer->FindLists(ListFamily::kPredicates, t.s, t.o);
-      const DeltaList* subjects =
-          layer->FindLists(ListFamily::kSubjects, t.p, t.o);
-      const bool is_add = op == DeltaOp::kInsert;
-      auto in = [is_add](const DeltaList* lists, Id third) {
-        return lists != nullptr &&
-               SortedContains(is_add ? lists->adds : lists->removes, third);
-      };
-      if (!in(objects, t.o) || !in(predicates, t.p) || !in(subjects, t.s)) {
-        ok = false;
-        msg = label + ": staged op missing from a delta side list";
       }
     });
     if (!ok) {
@@ -1340,25 +923,6 @@ bool DeltaHexastore::CheckInvariants(std::string* error) const {
     std::sort(staged.begin(), staged.end());
     if (scanned != staged || layer->SortedInserts() != staged) {
       return fail(label + ": sorted insert orders disagree with the op table");
-    }
-    // Side-list totals match the op counters in every family.
-    for (int f = 0; f < 3; ++f) {
-      std::size_t adds = 0;
-      std::size_t removes = 0;
-      layer->ForEachList(static_cast<ListFamily>(f),
-                         [&](const IdPair&, const DeltaList& lists) {
-                           adds += lists.adds.size();
-                           removes += lists.removes.size();
-                         });
-      if (adds != layer->insert_count() ||
-          removes != layer->tombstone_count()) {
-        std::ostringstream os;
-        os << label << ": delta side-list family " << f << " totals ("
-           << adds << ", " << removes << ") disagree with op counters ("
-           << layer->insert_count() << ", " << layer->tombstone_count()
-           << ")";
-        return fail(os.str());
-      }
     }
   }
   // Size bookkeeping: the full merged scan must see exactly size_
@@ -1406,19 +970,10 @@ void DeltaHexastore::PublishLocked(std::size_t logical_size,
   gen->epoch = epoch_;
   // dirty_ means "the published generation does not cover the live
   // contents". A publication that excludes a non-empty staging buffer
-  // (a merge-completion publish) must leave it set, or ExposeLocked's
-  // fast path would hand snapshots/accessors a view missing the staged
-  // ops — and hand out delta_ list pointers without the exposure mark.
+  // (a merge-completion publish) must leave it set, or GetSnapshot's
+  // fast path would hand out a view missing the staged ops.
   dirty_ = gen->active == nullptr && !delta_->empty();
   gate_.Publish(std::move(gen));
-}
-
-void DeltaHexastore::ExposeLocked() const {
-  // Otherwise the current generation already covers exactly the live
-  // contents (and pins the base).
-  if (dirty_) {
-    PublishLocked(size_, /*include_active=*/true);
-  }
 }
 
 std::shared_ptr<const Hexastore> DeltaHexastore::PinBaseLocked() const {

@@ -38,12 +38,12 @@
 //
 // docs/delta-levels.md specifies the policy.
 //
-// Read path: Contains, Scan and the merged accessor views always expose
-// the consistent union across the whole chain
+// Read path: the TripleStore interface (Contains, Scan, EstimateMatches)
+// always exposes the consistent union across the whole chain
 //   active ▷ L0 runs (newest first) ▷ L1 ▷ base
 // with each layer applying its point and pattern tombstones to
-// everything beneath it. Accessor views come back as MergedList so merge
-// joins keep their linear-merge guarantee mid-delta.
+// everything beneath it. The paper's sorted vectors and lists are the
+// base Hexastore's own accessors; the store does not mirror them.
 //
 // Concurrent reads: two kinds of handle, both materialized as Snapshot.
 //
@@ -54,9 +54,9 @@
 //     *published* generation through an RCU-style epoch-protected
 //     pointer (see generation.h) without ever touching the store mutex.
 //     It may trail the live store by the ops staged since the last
-//     publication (a publication happens at every snapshot/merged-view
-//     exposure, every job the compactor thread commits, and Clear/BulkLoad
-//     when that thread runs).
+//     publication (a publication happens at every GetSnapshot, every
+//     job the compactor thread commits, and Clear/BulkLoad when that
+//     thread runs).
 //
 // Either handle pins its generation for its whole lifetime — a BGP
 // evaluated against a Snapshot (it is a read-only TripleStore) plans and
@@ -84,7 +84,6 @@
 #include "delta/delta_store.h"
 #include "delta/generation.h"
 #include "delta/level.h"
-#include "delta/merged_list.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace_ring.h"
@@ -273,10 +272,9 @@ class DeltaHexastore : public TripleStore {
 
   /// An immutable view of one published {base, levels, active}
   /// generation. It is a read-only TripleStore (mutators are no-ops that
-  /// return false), so planners, BGP evaluation and merge joins run
-  /// entirely against the pinned generation; it also mirrors the merged
-  /// accessor views. Cheap to copy and safe to read from any thread
-  /// while writers keep inserting and merging.
+  /// return false), so planners and BGP evaluation run entirely against
+  /// the pinned generation. Cheap to copy and safe to read from any
+  /// thread while writers keep inserting and merging.
   class Snapshot final : public TripleStore {
    public:
     /// Empty view (no generation).
@@ -307,18 +305,6 @@ class DeltaHexastore : public TripleStore {
     /// plan cache keys validity fast-paths on it.
     std::uint64_t staged_ops() const;
 
-    // Merged accessor views over the pinned generation (see the
-    // DeltaHexastore accessors below for semantics).
-    MergedList objects(Id s, Id p) const;
-    MergedList predicates(Id s, Id o) const;
-    MergedList subjects(Id p, Id o) const;
-    IdVec predicates_of_subject(Id s) const;
-    IdVec objects_of_subject(Id s) const;
-    IdVec subjects_of_predicate(Id p) const;
-    IdVec objects_of_predicate(Id p) const;
-    IdVec subjects_of_object(Id o) const;
-    IdVec predicates_of_object(Id o) const;
-
    private:
     friend class DeltaHexastore;
     explicit Snapshot(std::shared_ptr<const DeltaGeneration> gen)
@@ -342,36 +328,6 @@ class DeltaHexastore : public TripleStore {
   /// live store (TripleStore::Pin).
   bool Pin(PinPolicy policy, const PinnedFn& fn) const override;
 
-  // -- Merged accessor views (the paper's vectors and lists) --------------
-  // Mirror Hexastore's accessors but return merging views instead of raw
-  // vector pointers, so callers see staged edits. Views stay valid across
-  // later mutations and merges (they pin the generation they were taken
-  // from). With sealed runs present the view is materialized (owns its
-  // ids); with only the active layer it is the zero-copy cursor pair.
-
-  /// Merged object list o(s,p).
-  MergedList objects(Id s, Id p) const;
-  /// Merged predicate list p(s,o).
-  MergedList predicates(Id s, Id o) const;
-  /// Merged subject list s(p,o).
-  MergedList subjects(Id p, Id o) const;
-
-  // Header-level merged vectors (materialized: membership of a header id
-  // depends on whether any merged terminal list under it is non-empty).
-
-  /// Merged property vector p(s) of the spo index.
-  IdVec predicates_of_subject(Id s) const;
-  /// Merged object vector o(s) of the sop index.
-  IdVec objects_of_subject(Id s) const;
-  /// Merged subject vector s(p) of the pso index.
-  IdVec subjects_of_predicate(Id p) const;
-  /// Merged object vector o(p) of the pos index.
-  IdVec objects_of_predicate(Id p) const;
-  /// Merged subject vector s(o) of the osp index.
-  IdVec subjects_of_object(Id o) const;
-  /// Merged property vector p(o) of the ops index.
-  IdVec predicates_of_object(Id o) const;
-
   // -- Introspection -------------------------------------------------------
 
   /// The compacted base store (test/bench access; reflects the state as
@@ -389,13 +345,12 @@ class DeltaHexastore : public TripleStore {
   //
   // Publication protocol: internal reads happen under mu_, so they are
   // ordered against writers by the mutex alone. The moment a generation
-  // escapes — GetSnapshot, a MergedList accessor, base(), or a
-  // compactor-thread job's commit — the objects it references are
-  // marked exposed and not mutated in place while anything outside the
-  // writer holds them: writers clone the delta (copy-on-write), and
-  // drains write into a base nobody pins (see BaseCell). Lock-free
-  // readers therefore only ever dereference frozen objects; the epoch
-  // gate (generation.h) keeps them allocated.
+  // escapes — GetSnapshot, base(), or a compactor-thread job's commit —
+  // the objects it references are marked exposed and not mutated in
+  // place while anything outside the writer holds them: writers clone
+  // the delta (copy-on-write), and drains write into a base nobody pins
+  // (see BaseCell). Lock-free readers therefore only ever dereference
+  // frozen objects; the epoch gate (generation.h) keeps them allocated.
 
   // Publishes the current {base_, levels_, delta_} through the gate.
   // `logical_size` is the triple count of the published view;
@@ -404,8 +359,6 @@ class DeltaHexastore : public TripleStore {
   // on the next op). An included buffer is settled first, so readers of
   // the generation never sort it.
   void PublishLocked(std::size_t logical_size, bool include_active) const;
-  // Marks the current generation escaped and publishes it if dirty.
-  void ExposeLocked() const;
   // The pin of the current base every holder outside the writer shares;
   // minted on first exposure (see BaseCell).
   std::shared_ptr<const Hexastore> PinBaseLocked() const;
@@ -489,7 +442,7 @@ class DeltaHexastore : public TripleStore {
   // scope; cleared only when the pointer is replaced.
   mutable bool delta_exposed_ = false;
   // Set by every mutation/structure change; cleared by PublishLocked —
-  // lets repeated exposures (accessor loops) skip redundant publishes.
+  // lets repeated GetSnapshot calls skip redundant publishes.
   mutable bool dirty_ = true;
   // Ops of delta_ included in the last publication (0 when the active
   // buffer was excluded); a merge-completion publish must re-include the

@@ -43,7 +43,6 @@ DeltaStore::DeltaStore(const DeltaStore& other)
     std::lock_guard<std::mutex> lock(other.cache_mu_);
     chunks_ = other.chunks_;
   }
-  lists_valid_.store(other.op_count() == 0, std::memory_order_relaxed);
   sorted_tail_valid_.store(tail_.empty(), std::memory_order_relaxed);
 }
 
@@ -317,54 +316,6 @@ void DeltaStore::AdoptOp(const IdTriple& t, DeltaOp op) {
   InvalidateCaches();
 }
 
-const DeltaList* DeltaStore::FindLists(ListFamily family, Id a, Id b) const {
-  EnsureSideLists();
-  const ListMap& m = lists_[static_cast<int>(family)];
-  auto it = m.find(IdPair{a, b});
-  return it == m.end() ? nullptr : &it->second;
-}
-
-void DeltaStore::EnsureSideLists() const {
-  if (lists_valid_.load(std::memory_order_acquire)) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (lists_valid_.load(std::memory_order_relaxed)) {
-    return;  // another reader built them while we waited
-  }
-  for (auto& m : lists_) {
-    m.clear();
-  }
-  // Append unsorted, then one sort+dedup pass per list: linearithmic in
-  // the list size instead of the quadratic shifts repeated SortedInsert
-  // would pay on lists with many staged ops.
-  ForEachOp([this](const IdTriple& t, DeltaOp op) {
-    // The three (key-pair, value) projections of the triple, matching
-    // TerminalListPool's keying: o(s,p), p(s,o), s(p,o).
-    const struct {
-      ListFamily family;
-      Id a, b, third;
-    } views[3] = {{ListFamily::kObjects, t.s, t.p, t.o},
-                  {ListFamily::kPredicates, t.s, t.o, t.p},
-                  {ListFamily::kSubjects, t.p, t.o, t.s}};
-    for (const auto& v : views) {
-      DeltaList& lists =
-          lists_[static_cast<int>(v.family)][IdPair{v.a, v.b}];
-      (op == DeltaOp::kInsert ? lists.adds : lists.removes)
-          .push_back(v.third);
-    }
-  });
-  for (auto& m : lists_) {
-    for (auto& [key, lists] : m) {
-      (void)key;
-      SortUnique(&lists.adds);
-      SortUnique(&lists.removes);
-    }
-  }
-  lists_valid_.store(true, std::memory_order_release);
-  SyncTrackedBytesLocked();
-}
-
 void DeltaStore::EnsureSortedTail() const {
   if (sorted_tail_valid_.load(std::memory_order_acquire)) {
     return;
@@ -588,7 +539,6 @@ std::uint64_t DeltaStore::CountInserts(const IdPattern& pattern) const {
 
 void DeltaStore::Freeze() const {
   EnsureSortedTail();
-  EnsureSideLists();
   (void)MaybeFilter();  // builds the filter too when one is armed
 }
 
@@ -644,13 +594,6 @@ std::size_t DeltaStore::MemoryBytes() const {
 std::size_t DeltaStore::MemoryBytesLocked() const {
   std::size_t bytes = slots_.capacity() * sizeof(Slot);
   bytes += VectorHeapBytes(pattern_preds_);
-  for (const auto& m : lists_) {
-    bytes += HashMapHeapBytes(m);
-    for (const auto& [key, lists] : m) {
-      (void)key;
-      bytes += VectorHeapBytes(lists.adds) + VectorHeapBytes(lists.removes);
-    }
-  }
   auto chunk_bytes = [](const Chunk& c) {
     return VectorHeapBytes(c.spo) + VectorHeapBytes(c.pos) +
            VectorHeapBytes(c.osp);
@@ -704,10 +647,6 @@ void DeltaStore::Clear() {
   dead_chunk_triples_ = 0;
   tail_.clear();
   std::lock_guard<std::mutex> lock(cache_mu_);
-  for (auto& m : lists_) {
-    m.clear();
-  }
-  lists_valid_ = true;
   sorted_tail_.reset();
   sorted_tail_valid_ = true;
   filter_ptr_.store(nullptr, std::memory_order_relaxed);

@@ -12,7 +12,7 @@
 // would otherwise stage one tombstone per match.
 //
 // The invariants that keep the merged read path simple, relied on by
-// DeltaHexastore and the merging iterators (P = pattern-erased preds):
+// DeltaHexastore (P = pattern-erased preds):
 //
 //   * a staged insert whose predicate is not in P is never present in
 //     the base (adds disjoint); an insert with predicate in P may be a
@@ -42,14 +42,6 @@
 // table (scans skip it, the next merge of its chunk drops it, a
 // re-insert revives it). Sealed and folded runs may still carry a tail;
 // readers sort it lazily, once per run.
-//
-// Read path, side lists: the same three pair-keyed terminal-list
-// families as the base store's TerminalListPool (o(s,p), p(s,o),
-// s(p,o)), split into sorted `adds` / `removes` vectors, are derived
-// LAZILY from the op table the first time a merged accessor view needs
-// them and cached until the next mutation. These side lists are what
-// lets a merged view (MergedListCursor) walk base-list ∪ adds ∖ removes
-// in one linear pass.
 #ifndef HEXASTORE_DELTA_DELTA_STORE_H_
 #define HEXASTORE_DELTA_DELTA_STORE_H_
 
@@ -59,12 +51,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "delta/run_filter.h"
 #include "index/sorted_vec.h"
-#include "index/terminal_pool.h"
 #include "obs/metrics.h"
 #include "rdf/triple.h"
 #include "util/common.h"
@@ -90,12 +80,6 @@ enum class DeltaOp : std::uint8_t {
   kTombstone = 1,  ///< base-resident triple deleted
 };
 
-/// Pending sorted edits of one terminal list, keyed like the base pool.
-struct DeltaList {
-  IdVec adds;      ///< third-role ids staged for insertion
-  IdVec removes;   ///< third-role ids tombstoned out of the base list
-};
-
 /// Unsorted staging buffer of inserts and tombstones.
 ///
 /// Copyable on purpose: DeltaHexastore clones it (copy-on-write) when a
@@ -105,11 +89,11 @@ struct DeltaList {
 /// serialized against everything else (DeltaHexastore calls them under
 /// its mutex). On a frozen (never-again-mutated) instance every read is
 /// safe from any thread: Lookup and ForEachOp are pure, and the
-/// lazily-caching read helpers (FindLists, ForEachList, ScanInserts,
-/// SortedInserts) serialize their one-off cache build internally
-/// (double-checked under cache_mu_), so sealed runs can be read
-/// concurrently by mutex readers, lock-free snapshot readers and the
-/// compactor without any pre-freezing.
+/// lazily-caching read helpers (ScanInserts, SortedInserts, MaybeFilter)
+/// serialize their one-off cache build internally (double-checked under
+/// cache_mu_), so sealed runs can be read concurrently by mutex readers,
+/// lock-free snapshot readers and the compactor without any
+/// pre-freezing.
 class DeltaStore {
  public:
   DeltaStore() = default;
@@ -117,9 +101,9 @@ class DeltaStore {
 
   /// Copies the op table, pattern tombstones, counters, the unsorted
   /// tail and the shared counter sinks, and shares the settled chunks
-  /// (read under the source's cache_mu_). The side lists, the sorted
-  /// tail and any built filter are left invalid on the copy (the
-  /// cloning writer mutates next, which would discard them anyway).
+  /// (read under the source's cache_mu_). The sorted tail and any built
+  /// filter are left invalid on the copy (the cloning writer mutates
+  /// next, which would discard them anyway).
   DeltaStore(const DeltaStore& other);
   DeltaStore& operator=(const DeltaStore&) = delete;
 
@@ -180,11 +164,6 @@ class DeltaStore {
   /// Adds a pattern tombstone without subsuming any staged point op.
   void AdoptPatternErase(Id p) { SortedInsert(&pattern_preds_, p); }
 
-  /// Pending edits of the terminal list of `family` keyed by (a, b), or
-  /// nullptr when the delta does not touch that list. Builds the cached
-  /// side lists on first use after a mutation.
-  const DeltaList* FindLists(ListFamily family, Id a, Id b) const;
-
   /// Emits every staged insert matching `pattern` to `sink`, grouped by
   /// the pattern's bound prefix: O(log + matches) per chunk (instead of
   /// a full op-table walk per scan). Sorts the unsorted tail first if a
@@ -202,7 +181,7 @@ class DeltaStore {
   /// O(tail · log tail) plus amortized O(log n) rewrites per insert.
   void Settle();
 
-  /// Pre-builds every lazy cache (sorted tail + side lists + filter).
+  /// Pre-builds every lazy cache (sorted tail + filter).
   /// Purely an optimization — the builds are internally synchronized,
   /// so readers of a frozen instance are safe either way; the compactor
   /// calls this off the store mutex to spare the first reader the build
@@ -216,16 +195,6 @@ class DeltaStore {
       if (slot.state == SlotState::kFull) {
         fn(slot.triple, slot.op);
       }
-    }
-  }
-
-  /// Calls `fn(key, lists)` for every touched terminal list of `family`.
-  /// Builds the cached side lists on first use after a mutation.
-  template <typename Fn>
-  void ForEachList(ListFamily family, Fn&& fn) const {
-    EnsureSideLists();
-    for (const auto& [key, lists] : lists_[static_cast<int>(family)]) {
-      fn(key, lists);
     }
   }
 
@@ -250,8 +219,8 @@ class DeltaStore {
   /// tombstones. Compaction may only be skipped when this holds.
   bool empty() const { return op_count() == 0 && pattern_preds_.empty(); }
 
-  /// Approximate heap bytes (op table + insert orders + cached side
-  /// lists + filter). Chunks shared with a copy count in both.
+  /// Approximate heap bytes (op table + insert orders + filter). Chunks
+  /// shared with a copy count in both.
   std::size_t MemoryBytes() const;
 
   /// Heap bytes of just the op table — O(1), callable without locks by
@@ -331,8 +300,6 @@ class DeltaStore {
     IdTripleVec osp;
   };
 
-  using ListMap = std::unordered_map<IdPair, DeltaList, IdPairHash>;
-
   // Probe for `t`: the slot holding it (a live op, or a dead one whose
   // chunk copy is still there), or nullptr. `insert_at` (when non-null)
   // receives the slot a new entry for `t` should occupy.
@@ -355,20 +322,16 @@ class DeltaStore {
   void ScanChunk(const Chunk& chunk, const IdPattern& pattern,
                  bool check_live,
                  const std::function<void(const IdTriple&)>& sink) const;
-  // Rebuilds the three side-list families from the op table
-  // (double-checked under cache_mu_; safe from any thread on a frozen
-  // instance).
-  void EnsureSideLists() const;
-  // Sorts the unsorted tail into sorted_tail_ (same double-checked
-  // discipline): the lazy settle of a sealed or folded run, or of the
-  // live buffer under its owner's mutex.
+  // Sorts the unsorted tail into sorted_tail_ (double-checked under
+  // cache_mu_; safe from any thread on a frozen instance): the lazy
+  // settle of a sealed or folded run, or of the live buffer under its
+  // owner's mutex.
   void EnsureSortedTail() const;
   // Drops all lazy caches after a mutation (mutator context: externally
   // serialized against every reader). A built filter is dropped too —
   // it only ever exists on sealed runs, so this is a safety net for the
   // clone-then-mutate path, not a hot one.
   void InvalidateCaches() {
-    lists_valid_.store(false, std::memory_order_release);
     sorted_tail_valid_.store(false, std::memory_order_release);
     filter_ptr_.store(nullptr, std::memory_order_relaxed);
     filter_bits_.store(0, std::memory_order_relaxed);
@@ -395,14 +358,10 @@ class DeltaStore {
   std::size_t dead_chunk_triples_ = 0;  // of those, not a live insert
   IdTripleVec tail_;  // live inserts staged since the last Settle
 
-  // Serializes the one-off lazy cache builds below; the valid flags are
-  // acquire/release so a reader that observes `true` sees the built
-  // containers.
+  // Serializes the one-off lazy cache builds below; the valid flag and
+  // the filter pointer are acquire/release so a reader that observes
+  // them set sees what was built.
   mutable std::mutex cache_mu_;
-
-  mutable ListMap lists_[3];
-  // Empty delta == valid empty lists.
-  mutable std::atomic<bool> lists_valid_{true};
 
   // tail_ sorted three ways (null when empty).
   mutable std::shared_ptr<const Chunk> sorted_tail_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <iterator>
 #include <utility>
 
 #include "wal/file_util.h"
@@ -62,27 +61,6 @@ Result<std::size_t> RecordedShardCount(const std::string& root) {
         "the root, then delete SHARDS");
   }
   return count;
-}
-
-// Sorted-unique merge of `add` into `out` (both sorted ascending).
-void MergeUniqueInto(const IdVec& add, IdVec* out) {
-  if (add.empty()) {
-    return;
-  }
-  if (out->empty()) {
-    *out = add;
-    return;
-  }
-  IdVec merged;
-  merged.reserve(out->size() + add.size());
-  std::set_union(out->begin(), out->end(), add.begin(), add.end(),
-                 std::back_inserter(merged));
-  out->swap(merged);
-}
-
-MergedList OwnedMergedList(IdVec ids) {
-  auto owned = std::make_shared<IdVec>(std::move(ids));
-  return MergedList(nullptr, nullptr, std::move(owned), nullptr, nullptr);
 }
 
 // One shard's delta configuration: the facade's, with an equal slice of
@@ -410,66 +388,6 @@ bool ShardedHexastore::Pin(PinPolicy policy, const PinnedFn& fn) const {
   return true;
 }
 
-// -- Merged accessor views ------------------------------------------------
-
-template <typename Fn>
-IdVec ShardedHexastore::GatherUnion(Fn&& per_shard) const {
-  meters_.scatter_reads.Add();
-  IdVec out;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    MergeUniqueInto(per_shard(*shards_[i]), &out);
-  }
-  return out;
-}
-
-MergedList ShardedHexastore::objects(Id s, Id p) const {
-  meters_.routed_reads.Add();
-  return shards_[Route(s)]->objects(s, p);
-}
-
-MergedList ShardedHexastore::predicates(Id s, Id o) const {
-  meters_.routed_reads.Add();
-  return shards_[Route(s)]->predicates(s, o);
-}
-
-MergedList ShardedHexastore::subjects(Id p, Id o) const {
-  // Subjects are partition keys: the per-shard lists are disjoint, and
-  // a sorted-unique union of sorted lists reproduces the single-store
-  // order exactly.
-  return OwnedMergedList(GatherUnion(
-      [p, o](const DeltaHexastore& d) { return d.subjects(p, o).Materialize(); }));
-}
-
-IdVec ShardedHexastore::predicates_of_subject(Id s) const {
-  meters_.routed_reads.Add();
-  return shards_[Route(s)]->predicates_of_subject(s);
-}
-
-IdVec ShardedHexastore::objects_of_subject(Id s) const {
-  meters_.routed_reads.Add();
-  return shards_[Route(s)]->objects_of_subject(s);
-}
-
-IdVec ShardedHexastore::subjects_of_predicate(Id p) const {
-  return GatherUnion(
-      [p](const DeltaHexastore& d) { return d.subjects_of_predicate(p); });
-}
-
-IdVec ShardedHexastore::objects_of_predicate(Id p) const {
-  return GatherUnion(
-      [p](const DeltaHexastore& d) { return d.objects_of_predicate(p); });
-}
-
-IdVec ShardedHexastore::subjects_of_object(Id o) const {
-  return GatherUnion(
-      [o](const DeltaHexastore& d) { return d.subjects_of_object(o); });
-}
-
-IdVec ShardedHexastore::predicates_of_object(Id o) const {
-  return GatherUnion(
-      [o](const DeltaHexastore& d) { return d.predicates_of_object(o); });
-}
-
 // -- Durability management ------------------------------------------------
 
 Status ShardedHexastore::status() const {
@@ -648,65 +566,6 @@ std::vector<std::uint64_t> ShardedSnapshot::StampVector() const {
     stamp.push_back(shard.staged_ops());
   }
   return stamp;
-}
-
-MergedList ShardedSnapshot::objects(Id s, Id p) const {
-  return shards_[ShardedHexastore::ShardOf(s, shards_.size())].objects(s, p);
-}
-
-MergedList ShardedSnapshot::predicates(Id s, Id o) const {
-  return shards_[ShardedHexastore::ShardOf(s, shards_.size())].predicates(
-      s, o);
-}
-
-MergedList ShardedSnapshot::subjects(Id p, Id o) const {
-  IdVec out;
-  for (const auto& shard : shards_) {
-    MergeUniqueInto(shard.subjects(p, o).Materialize(), &out);
-  }
-  return OwnedMergedList(std::move(out));
-}
-
-IdVec ShardedSnapshot::predicates_of_subject(Id s) const {
-  return shards_[ShardedHexastore::ShardOf(s, shards_.size())]
-      .predicates_of_subject(s);
-}
-
-IdVec ShardedSnapshot::objects_of_subject(Id s) const {
-  return shards_[ShardedHexastore::ShardOf(s, shards_.size())]
-      .objects_of_subject(s);
-}
-
-IdVec ShardedSnapshot::subjects_of_predicate(Id p) const {
-  IdVec out;
-  for (const auto& shard : shards_) {
-    MergeUniqueInto(shard.subjects_of_predicate(p), &out);
-  }
-  return out;
-}
-
-IdVec ShardedSnapshot::objects_of_predicate(Id p) const {
-  IdVec out;
-  for (const auto& shard : shards_) {
-    MergeUniqueInto(shard.objects_of_predicate(p), &out);
-  }
-  return out;
-}
-
-IdVec ShardedSnapshot::subjects_of_object(Id o) const {
-  IdVec out;
-  for (const auto& shard : shards_) {
-    MergeUniqueInto(shard.subjects_of_object(o), &out);
-  }
-  return out;
-}
-
-IdVec ShardedSnapshot::predicates_of_object(Id o) const {
-  IdVec out;
-  for (const auto& shard : shards_) {
-    MergeUniqueInto(shard.predicates_of_object(o), &out);
-  }
-  return out;
 }
 
 }  // namespace hexastore

@@ -14,16 +14,15 @@
 // single-store layout), no commit group is built and bulk loads pass
 // straight through — hexastore_server always serves this facade.
 //
-// Read path: scatter-gather. A pattern with a bound subject routes to
-// one shard; anything else fans out across all shards and merges. The
-// merged accessor views (objects/predicates/subjects and the six header
-// vectors) k-way merge the per-shard sorted lists, so the result is
-// byte-identical to a single store over the same triples — the
-// sharded-vs-single oracle in store_equivalence_test pins this.
-// ShardedSnapshot pins one generation per shard (in shard order) and is
-// itself a read-only TripleStore, so BGP evaluation, the plan cache
-// (whose stamp is the concatenation of the per-shard stamps) and
-// EXPLAIN ANALYZE run unchanged against it.
+// Read path: scatter-gather through the TripleStore interface. A pattern
+// with a bound subject routes to one shard; anything else fans out
+// across all shards, whose contents are disjoint, so the union is the
+// single store's answer over the same triples — the sharded-vs-single
+// oracle in sharded_store_test pins this. ShardedSnapshot pins one
+// generation per shard (in shard order) and is itself a read-only
+// TripleStore, so BGP evaluation, the plan cache (whose stamp is the
+// concatenation of the per-shard stamps) and EXPLAIN ANALYZE run
+// unchanged against it.
 //
 // Semantics vs a single DeltaHexastore (docs/sharding.md):
 //  * Contents, Scan/Match results, ErasePattern counts: identical.
@@ -51,7 +50,6 @@
 #include "core/stats.h"
 #include "core/store_interface.h"
 #include "delta/delta_hexastore.h"
-#include "delta/merged_list.h"
 #include "util/status.h"
 #include "wal/durable_store.h"
 #include "wal/wal_writer.h"
@@ -105,19 +103,6 @@ class ShardedSnapshot final : public TripleStore {
   const DeltaHexastore::Snapshot& shard(std::size_t i) const {
     return shards_[i];
   }
-
-  // Merged accessor views over the pinned shard generations (same
-  // contracts as DeltaHexastore::Snapshot; scatter results are k-way
-  // merged so orders match the single-store views byte-for-byte).
-  MergedList objects(Id s, Id p) const;
-  MergedList predicates(Id s, Id o) const;
-  MergedList subjects(Id p, Id o) const;
-  IdVec predicates_of_subject(Id s) const;
-  IdVec objects_of_subject(Id s) const;
-  IdVec subjects_of_predicate(Id p) const;
-  IdVec objects_of_predicate(Id p) const;
-  IdVec subjects_of_object(Id o) const;
-  IdVec predicates_of_object(Id o) const;
 
  private:
   friend class ShardedHexastore;
@@ -200,18 +185,6 @@ class ShardedHexastore : public TripleStore {
   /// keeping the handles), so wait-free reads see every write so far.
   void Publish() const;
 
-  // -- Merged accessor views (scatter-gather; see ShardedSnapshot) --------
-
-  MergedList objects(Id s, Id p) const;
-  MergedList predicates(Id s, Id o) const;
-  MergedList subjects(Id p, Id o) const;
-  IdVec predicates_of_subject(Id s) const;
-  IdVec objects_of_subject(Id s) const;
-  IdVec subjects_of_predicate(Id p) const;
-  IdVec objects_of_predicate(Id p) const;
-  IdVec subjects_of_object(Id o) const;
-  IdVec predicates_of_object(Id o) const;
-
   // -- Shard access --------------------------------------------------------
 
   std::size_t shard_count() const { return shards_.size(); }
@@ -264,9 +237,6 @@ class ShardedHexastore : public TripleStore {
   void RegisterShardMeters();
   // Pushes per-shard sizes/staged-ops into the facade gauges.
   void RefreshShardGauges() const;
-  // Sorted-unique k-way union of one accessor across all shards.
-  template <typename Fn>
-  IdVec GatherUnion(Fn&& per_shard) const;
 
   // Cross-shard group-commit coordinator (durable kBatched mode, more
   // than one shard). Declared before the shards so it outlives their

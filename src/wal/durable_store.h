@@ -28,7 +28,7 @@
 // segment for new writes. The recovered store is exactly the committed
 // prefix of the log.
 //
-// Reads (Contains/Scan/size/merged views) go straight to the inner
+// Reads (Contains/Scan/size/snapshots) go straight to the inner
 // DeltaHexastore and never touch the log — durability does not tax the
 // read path. AcquireReadHandle() additionally exposes the inner store's
 // wait-free pinned-generation handle.

@@ -73,6 +73,36 @@ std::size_t OracleErasePattern(std::set<IdTriple>* oracle,
   return erased;
 }
 
+// One of the 8 bound/unbound IdPattern shapes, bound where `mask` says
+// (4 = s, 2 = p, 1 = o) to the ids of `anchor`.
+IdPattern Shape(const IdTriple& anchor, int mask) {
+  return IdPattern{(mask & 4) != 0 ? anchor.s : kInvalidId,
+                   (mask & 2) != 0 ? anchor.p : kInvalidId,
+                   (mask & 1) != 0 ? anchor.o : kInvalidId};
+}
+
+// Every shape anchored at each of `anchors` scans `view` to exactly the
+// oracle's matches, compared as multisets (a duplicate fails).
+template <typename View>
+void ExpectShapesMatch(const View& view, const std::set<IdTriple>& oracle,
+                       const std::vector<IdTriple>& anchors) {
+  for (const IdTriple& anchor : anchors) {
+    for (int mask = 0; mask < 8; ++mask) {
+      const IdPattern q = Shape(anchor, mask);
+      IdTripleVec scanned;
+      view.Scan(q, [&scanned](const IdTriple& t) { scanned.push_back(t); });
+      std::sort(scanned.begin(), scanned.end());
+      IdTripleVec expected;
+      for (const IdTriple& t : oracle) {
+        if (q.Matches(t)) {
+          expected.push_back(t);
+        }
+      }
+      ASSERT_EQ(scanned, expected) << "shape " << mask;
+    }
+  }
+}
+
 // A memory budget far below what the run tables and filters occupy, so
 // budget triggers fire constantly; the CI smoke job overrides it via
 // HEXA_MEM_BUDGET.
@@ -267,9 +297,10 @@ TEST(DeltaChurnTest, ErasePatternAgreesWithOracle) {
   EXPECT_GT(store.CompactionCount(), 0u);
 }
 
-TEST(DeltaChurnTest, ErasePatternMergedViewsAgreeMidDelta) {
-  // Pin the merged accessor views (lists + header vectors) against a
-  // brute-force oracle while pattern tombstones are live (no compaction).
+TEST(DeltaChurnTest, ErasePatternScansAgreeMidDelta) {
+  // Every bound pattern shape, scanned on the live store and on a
+  // snapshot, against a brute-force oracle while a pattern tombstone and
+  // a re-insert above it are still staged (no compaction).
   Rng rng(0x9A77E12);
   DeltaHexastore store(DeltaOptions{.compact_threshold = 1u << 20});
   std::set<IdTriple> oracle;
@@ -304,40 +335,24 @@ TEST(DeltaChurnTest, ErasePatternMergedViewsAgreeMidDelta) {
   oracle.insert(revived);
 
   ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithOracle(store, oracle));
-  for (Id a = 1; a <= kUniverse; ++a) {
-    for (Id b = 1; b <= kUniverse; ++b) {
-      IdVec objects_oracle;
-      IdVec predicates_oracle;
-      IdVec subjects_oracle;
-      for (const IdTriple& t : oracle) {
-        if (t.s == a && t.p == b) objects_oracle.push_back(t.o);
-        if (t.s == a && t.o == b) predicates_oracle.push_back(t.p);
-        if (t.p == a && t.o == b) subjects_oracle.push_back(t.s);
+  ASSERT_GT(store.StagedOps(), 0u);
+  // Anchors over twice the drawn id range, so absent ids are probed too:
+  // each shape bound at every id pair covers (a,b,?), (a,?,b), (?,a,b)
+  // and each single-bound shape.
+  std::vector<IdTriple> anchors;
+  for (Id s = 1; s <= 2 * kUniverse; ++s) {
+    for (Id p = 1; p <= 2 * kUniverse; ++p) {
+      for (Id o = 1; o <= 2 * kUniverse; ++o) {
+        anchors.push_back({s, p, o});
       }
-      EXPECT_EQ(store.objects(a, b).Materialize(), objects_oracle)
-          << "o(" << a << "," << b << ")";
-      EXPECT_EQ(store.predicates(a, b).Materialize(), predicates_oracle)
-          << "p(" << a << "," << b << ")";
-      EXPECT_EQ(store.subjects(a, b).Materialize(), subjects_oracle)
-          << "s(" << a << "," << b << ")";
     }
-    IdVec ps_oracle, os_oracle, sp_oracle, op_oracle, so_oracle, po_oracle;
-    for (const IdTriple& t : oracle) {
-      if (t.s == a) SortedInsert(&ps_oracle, t.p);
-      if (t.s == a) SortedInsert(&os_oracle, t.o);
-      if (t.p == a) SortedInsert(&sp_oracle, t.s);
-      if (t.p == a) SortedInsert(&op_oracle, t.o);
-      if (t.o == a) SortedInsert(&so_oracle, t.s);
-      if (t.o == a) SortedInsert(&po_oracle, t.p);
-    }
-    EXPECT_EQ(store.predicates_of_subject(a), ps_oracle) << "p(s=" << a << ")";
-    EXPECT_EQ(store.objects_of_subject(a), os_oracle) << "o(s=" << a << ")";
-    EXPECT_EQ(store.subjects_of_predicate(a), sp_oracle) << "s(p=" << a << ")";
-    EXPECT_EQ(store.objects_of_predicate(a), op_oracle) << "o(p=" << a << ")";
-    EXPECT_EQ(store.subjects_of_object(a), so_oracle) << "s(o=" << a << ")";
-    EXPECT_EQ(store.predicates_of_object(a), po_oracle) << "p(o=" << a << ")";
   }
-  // And after compaction the views stay identical.
+  const DeltaHexastore::Snapshot snap = store.GetSnapshot();
+  ASSERT_NO_FATAL_FAILURE(ExpectShapesMatch(store, oracle, anchors))
+      << "live store";
+  ASSERT_NO_FATAL_FAILURE(ExpectShapesMatch(snap, oracle, anchors))
+      << "snapshot";
+  // And after compaction the store stays identical.
   store.Compact();
   ASSERT_NO_FATAL_FAILURE(ExpectAgreesWithOracle(store, oracle));
 }
@@ -716,36 +731,6 @@ struct PublishCase {
 };
 
 class PublishPerBatchTest : public ::testing::TestWithParam<PublishCase> {};
-
-// One of the 8 bound/unbound IdPattern shapes, bound where `mask` says
-// (4 = s, 2 = p, 1 = o) to the ids of `anchor`.
-IdPattern Shape(const IdTriple& anchor, int mask) {
-  return IdPattern{(mask & 4) != 0 ? anchor.s : kInvalidId,
-                   (mask & 2) != 0 ? anchor.p : kInvalidId,
-                   (mask & 1) != 0 ? anchor.o : kInvalidId};
-}
-
-// Every shape anchored at each of `anchors` scans `view` to exactly the
-// oracle's matches, compared as multisets (a duplicate fails).
-template <typename View>
-void ExpectShapesMatch(const View& view, const std::set<IdTriple>& oracle,
-                       const std::vector<IdTriple>& anchors) {
-  for (const IdTriple& anchor : anchors) {
-    for (int mask = 0; mask < 8; ++mask) {
-      const IdPattern q = Shape(anchor, mask);
-      IdTripleVec scanned;
-      view.Scan(q, [&scanned](const IdTriple& t) { scanned.push_back(t); });
-      std::sort(scanned.begin(), scanned.end());
-      IdTripleVec expected;
-      for (const IdTriple& t : oracle) {
-        if (q.Matches(t)) {
-          expected.push_back(t);
-        }
-      }
-      ASSERT_EQ(scanned, expected) << "shape " << mask;
-    }
-  }
-}
 
 // The served write pattern: a publication (GetSnapshot) every few ops,
 // so the staging buffer is settled, cloned and mutated over and over.

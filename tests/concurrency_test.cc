@@ -168,48 +168,6 @@ TEST(ConcurrencyTest, SnapshotReadersSurviveWriterCompactions) {
   EXPECT_TRUE(store.CheckInvariants(&err)) << err;
 }
 
-// Merged accessor views taken by readers must keep answering from the
-// generation they pinned while the writer compacts underneath.
-TEST(ConcurrencyTest, MergedViewsPinTheirGeneration) {
-  DeltaHexastore store(DeltaOptions{.compact_threshold = 32});
-  constexpr Id kS = 1;
-  constexpr Id kP = 2;
-  std::atomic<bool> done{false};
-  std::atomic<int> failures{0};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&store, &done, &failures] {
-      while (!done.load(std::memory_order_acquire)) {
-        const MergedList view = store.objects(kS, kP);
-        const IdVec a = view.Materialize();
-        const IdVec b = view.Materialize();  // same view, same answer
-        if (a != b || a.size() != view.size()) {
-          failures.fetch_add(1);
-        }
-        if (!IsStrictlySorted(a)) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-
-  Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    const Id o = 1 + rng.Uniform(500);
-    if (rng.Bernoulli(0.7)) {
-      store.Insert({kS, kP, o});
-    } else {
-      store.Erase({kS, kP, o});
-    }
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : readers) {
-    th.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
-}
-
 TEST(ConcurrencyTest, AccessCountersAccumulateAcrossThreads) {
   Hexastore store;
   store.Insert({1, 2, 3});

@@ -1,6 +1,6 @@
 // Behavior tests of the DeltaHexastore: staging semantics, threshold
-// auto-compaction, snapshot isolation across compactions, merged accessor
-// views and merge joins mid-delta, stats, and the snapshot file format.
+// auto-compaction, snapshot isolation across compactions, pattern erases
+// across levels, stats, and the snapshot file format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -162,107 +162,6 @@ TEST(DeltaHexastoreTest, ClearResetsEverythingIncludingStagedOps) {
   EXPECT_TRUE(snap.Contains({3, 3, 3}));
   std::string err;
   EXPECT_TRUE(store.CheckInvariants(&err)) << err;
-}
-
-TEST(DeltaHexastoreTest, MergedTerminalListsSeeStagedEdits) {
-  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
-  store.BulkLoad({{1, 2, 3}, {1, 2, 5}, {1, 2, 7}});
-  store.Erase({1, 2, 5});
-  store.Insert({1, 2, 4});
-  const IdVec expect{3, 4, 7};
-  EXPECT_EQ(store.objects(1, 2).Materialize(), expect);
-  EXPECT_EQ(store.objects(1, 2).size(), 3u);
-  // Terminal lists in the other two families.
-  EXPECT_EQ(store.predicates(1, 3).Materialize(), IdVec{2});
-  EXPECT_EQ(store.subjects(2, 4).Materialize(), IdVec{1});
-  EXPECT_EQ(store.subjects(2, 5).Materialize(), IdVec{});
-}
-
-TEST(DeltaHexastoreTest, MergedHeaderVectorsTrackPairLiveness) {
-  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
-  store.BulkLoad({{1, 2, 3}, {1, 4, 3}, {5, 2, 3}});
-  // New subject header appears from a staged insert alone.
-  store.Insert({6, 2, 9});
-  // Erasing the only triple under (5, 2) must drop 5 from s(p=2).
-  store.Erase({5, 2, 3});
-  EXPECT_EQ(store.subjects_of_predicate(2), (IdVec{1, 6}));
-  EXPECT_EQ(store.predicates_of_subject(1), (IdVec{2, 4}));
-  EXPECT_EQ(store.predicates_of_subject(6), IdVec{2});
-  EXPECT_EQ(store.objects_of_predicate(2), (IdVec{3, 9}));
-  EXPECT_EQ(store.subjects_of_object(3), IdVec{1});
-  EXPECT_EQ(store.predicates_of_object(9), IdVec{2});
-  EXPECT_EQ(store.objects_of_subject(5), IdVec{});
-  // A partial erase must NOT drop a header while sibling pairs survive:
-  // (1,4,3) still links subject 1 and object 3 after (1,2,3) goes.
-  store.Erase({1, 2, 3});
-  EXPECT_EQ(store.subjects_of_object(3), IdVec{1});
-  EXPECT_EQ(store.predicates_of_subject(1), IdVec{4});
-  EXPECT_EQ(store.predicates_of_object(3), IdVec{4});
-  EXPECT_EQ(store.subjects_of_predicate(2), IdVec{6});
-}
-
-TEST(DeltaHexastoreTest, MergedViewsStayValidAcrossCompaction) {
-  DeltaHexastore store(DeltaOptions{.compact_threshold = 1024});
-  store.BulkLoad({{1, 2, 3}, {1, 2, 5}});
-  store.Insert({1, 2, 4});
-  const MergedList view = store.objects(1, 2);
-  store.Compact();               // swaps in a rebuilt base (view pins old)
-  store.Insert({1, 2, 9});       // mutates only the new generation
-  const IdVec expect{3, 4, 5};
-  EXPECT_EQ(view.Materialize(), expect);
-  const IdVec live_expect{3, 4, 5, 9};
-  EXPECT_EQ(store.objects(1, 2).Materialize(), live_expect);
-}
-
-// Every merged accessor view — live and pinned — must equal the raw
-// vector of a plain Hexastore holding the compacted contents, mid-delta
-// (these views are the sorted inputs of the paper's merge joins).
-TEST(DeltaHexastoreTest, MergedViewsAgreeWithCompactedHexastore) {
-  Rng rng(77);
-  DeltaHexastore store(DeltaOptions{.compact_threshold = 64});
-  Hexastore compacted;
-  for (int i = 0; i < 1200; ++i) {
-    IdTriple t{1 + rng.Uniform(10), 1 + rng.Uniform(4),
-               1 + rng.Uniform(10)};
-    if (rng.Bernoulli(0.7)) {
-      store.Insert(t);
-      compacted.Insert(t);
-    } else {
-      store.Erase(t);
-      compacted.Erase(t);
-    }
-  }
-  ASSERT_EQ(MatchAll(store), MatchAll(compacted));
-  ASSERT_GT(store.StagedOps(), 0u);
-  auto raw = [](const IdVec* v) { return v == nullptr ? IdVec{} : *v; };
-  const DeltaHexastore::Snapshot snap = store.GetSnapshot();
-  for (int probe = 0; probe < 50; ++probe) {
-    const Id s = 1 + rng.Uniform(11);
-    const Id p = 1 + rng.Uniform(5);
-    const Id o = 1 + rng.Uniform(11);
-    EXPECT_EQ(store.subjects(p, o).Materialize(),
-              raw(compacted.subjects(p, o)));
-    EXPECT_EQ(store.objects(s, p).Materialize(), raw(compacted.objects(s, p)));
-    EXPECT_EQ(store.predicates(s, o).Materialize(),
-              raw(compacted.predicates(s, o)));
-    EXPECT_EQ(store.subjects_of_object(o),
-              raw(compacted.subjects_of_object(o)));
-    EXPECT_EQ(store.predicates_of_object(o),
-              raw(compacted.predicates_of_object(o)));
-    EXPECT_EQ(store.objects_of_predicate(p),
-              raw(compacted.objects_of_predicate(p)));
-    EXPECT_EQ(store.subjects_of_predicate(p),
-              raw(compacted.subjects_of_predicate(p)));
-    EXPECT_EQ(store.predicates_of_subject(s),
-              raw(compacted.predicates_of_subject(s)));
-    EXPECT_EQ(store.objects_of_subject(s),
-              raw(compacted.objects_of_subject(s)));
-    EXPECT_EQ(snap.subjects(p, o).Materialize(), raw(compacted.subjects(p, o)));
-    EXPECT_EQ(snap.objects(s, p).Materialize(), raw(compacted.objects(s, p)));
-    EXPECT_EQ(snap.subjects_of_object(o), raw(compacted.subjects_of_object(o)));
-    EXPECT_EQ(snap.objects_of_predicate(p),
-              raw(compacted.objects_of_predicate(p)));
-  }
 }
 
 TEST(DeltaHexastoreTest, StatsReportDeltaAndBase) {
@@ -656,8 +555,7 @@ TEST(LeveledDeltaTest, PatternTombstoneInL0SuppressesMatchesInL1) {
   EXPECT_FALSE(store.Contains({1001, 5, 1}));
   EXPECT_EQ(store.CountMatches(IdPattern{0, 5, 0}), 0u);
   EXPECT_EQ(store.EstimateMatches(IdPattern{0, 5, 0}), 0u);
-  EXPECT_TRUE(store.subjects_of_predicate(5).empty());
-  EXPECT_TRUE(store.objects(1001, 5).empty());
+  EXPECT_FALSE(store.MatchesAny(IdPattern{1001, 5, 0}));
   EXPECT_EQ(store.size(), 404u);
   std::string err;
   ASSERT_TRUE(store.CheckInvariants(&err)) << err;

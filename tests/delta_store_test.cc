@@ -1,7 +1,6 @@
-// Unit tests of the delta staging buffer and the merging iterator: op
-// staging/cancellation rules, the disjoint/subset side-list invariants,
-// the settled insert chunks (shared by copies, exact under cancels), and
-// MergedListCursor's sorted union-minus-tombstones walk.
+// Unit tests of the delta staging buffer: op staging/cancellation
+// rules, the sorted insert and tombstone orders, and the settled insert
+// chunks (shared by copies, exact under cancels).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "delta/delta_store.h"
-#include "delta/merged_list.h"
 
 namespace hexastore {
 namespace {
@@ -52,7 +50,6 @@ TEST(DeltaStoreTest, EraseCancelsStagedInsert) {
   EXPECT_TRUE(delta.StageErase({1, 2, 3}, false));
   EXPECT_TRUE(delta.empty());
   EXPECT_EQ(delta.Lookup({1, 2, 3}), DeltaStore::Presence::kUnknown);
-  EXPECT_EQ(delta.FindLists(ListFamily::kObjects, 1, 2), nullptr);
 }
 
 TEST(DeltaStoreTest, ReinsertCancelsTombstone) {
@@ -61,24 +58,6 @@ TEST(DeltaStoreTest, ReinsertCancelsTombstone) {
   EXPECT_TRUE(delta.StageInsert({1, 2, 3}, /*base_present=*/true));
   EXPECT_TRUE(delta.empty());  // base copy shows through again
   EXPECT_EQ(delta.Lookup({1, 2, 3}), DeltaStore::Presence::kUnknown);
-}
-
-TEST(DeltaStoreTest, SideListsMirrorAllThreeFamilies) {
-  DeltaStore delta;
-  ASSERT_TRUE(delta.StageInsert({7, 8, 9}, false));
-  const DeltaList* objects = delta.FindLists(ListFamily::kObjects, 7, 8);
-  const DeltaList* predicates =
-      delta.FindLists(ListFamily::kPredicates, 7, 9);
-  const DeltaList* subjects = delta.FindLists(ListFamily::kSubjects, 8, 9);
-  ASSERT_NE(objects, nullptr);
-  ASSERT_NE(predicates, nullptr);
-  ASSERT_NE(subjects, nullptr);
-  EXPECT_EQ(objects->adds, IdVec{9});
-  EXPECT_EQ(predicates->adds, IdVec{8});
-  EXPECT_EQ(subjects->adds, IdVec{7});
-  ASSERT_TRUE(delta.StageErase({7, 8, 1}, /*base_present=*/true));
-  EXPECT_EQ(delta.FindLists(ListFamily::kObjects, 7, 8)->removes,
-            IdVec{1});
 }
 
 TEST(DeltaStoreTest, SortedInsertsAndTombstonesAreSorted) {
@@ -104,7 +83,6 @@ TEST(DeltaStoreTest, ClearDropsEverything) {
   EXPECT_TRUE(delta.empty());
   EXPECT_EQ(delta.insert_count(), 0u);
   EXPECT_EQ(delta.tombstone_count(), 0u);
-  EXPECT_EQ(delta.FindLists(ListFamily::kObjects, 1, 2), nullptr);
 }
 
 TEST(DeltaStoreTest, CopyIsIndependent) {
@@ -253,53 +231,6 @@ TEST(DeltaStoreTest, EmptiedBufferHoldsNoChunks) {
   ASSERT_TRUE(delta.StageInsert({1, 7, 1}, false));
   delta.Settle();
   ASSERT_NO_FATAL_FAILURE(ExpectScansMatch(delta, {{1, 7, 1}}));
-}
-
-// -- MergedListCursor -----------------------------------------------------
-
-IdVec Walk(const IdVec* base, const IdVec* adds, const IdVec* removes) {
-  IdVec out;
-  for (MergedListCursor c(base, adds, removes); !c.done(); c.next()) {
-    out.push_back(c.value());
-  }
-  return out;
-}
-
-TEST(MergedListCursorTest, AllInputsNull) {
-  EXPECT_EQ(Walk(nullptr, nullptr, nullptr), IdVec{});
-}
-
-TEST(MergedListCursorTest, BaseOnly) {
-  const IdVec base{1, 3, 5};
-  EXPECT_EQ(Walk(&base, nullptr, nullptr), base);
-}
-
-TEST(MergedListCursorTest, AddsInterleaveWithBase) {
-  const IdVec base{2, 5, 9};
-  const IdVec adds{1, 4, 10};
-  const IdVec expect{1, 2, 4, 5, 9, 10};
-  EXPECT_EQ(Walk(&base, &adds, nullptr), expect);
-}
-
-TEST(MergedListCursorTest, RemovesDropBaseElements) {
-  const IdVec base{1, 2, 3, 4, 5};
-  const IdVec removes{1, 3, 5};
-  const IdVec expect{2, 4};
-  EXPECT_EQ(Walk(&base, nullptr, &removes), expect);
-}
-
-TEST(MergedListCursorTest, AddsAndRemovesTogether) {
-  const IdVec base{2, 4, 6, 8};
-  const IdVec adds{1, 5, 9};
-  const IdVec removes{4, 8};
-  const IdVec expect{1, 2, 5, 6, 9};
-  EXPECT_EQ(Walk(&base, &adds, &removes), expect);
-}
-
-TEST(MergedListCursorTest, EverythingRemoved) {
-  const IdVec base{1, 2};
-  const IdVec removes{1, 2};
-  EXPECT_EQ(Walk(&base, nullptr, &removes), IdVec{});
 }
 
 }  // namespace

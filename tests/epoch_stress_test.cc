@@ -653,9 +653,9 @@ TEST(EpochStressTest, InlineDrainsReuseTheSpareReadersReleased) {
   EXPECT_TRUE(store.CheckInvariants(&err)) << err;
 }
 
-// Pinned-generation query plans: BGP evaluation and sorted-list
-// intersections over a handle answer from exactly one generation while
-// the writer churns.
+// Pinned-generation query plans: BGP evaluation and repeated bound
+// reads over a handle answer from exactly one generation while the
+// writer churns.
 TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
   DeltaHexastore store(DeltaOptions{/*compact_threshold=*/32,
                                     /*background_compaction=*/true});
@@ -670,13 +670,23 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&store, &done, &failures, p_knows] {
+      // The distinct values of one role across a pattern's matches.
+      auto distinct = [](const IdTripleVec& matches, Id IdTriple::*role) {
+        IdVec ids;
+        for (const IdTriple& t : matches) {
+          ids.push_back(t.*role);
+        }
+        SortUnique(&ids);
+        return ids;
+      };
       while (!done.load(std::memory_order_acquire)) {
         const DeltaHexastore::Snapshot snap = store.AcquireReadHandle();
-        // Header vectors and scans agree because they read the same
-        // pinned generation: every subject of both objects has a triple
-        // to each of them.
-        const IdVec both = Intersect(snap.subjects_of_object(7),
-                                     snap.subjects_of_object(9));
+        // Separate reads agree because they read the same pinned
+        // generation: every subject of both objects has a triple to each
+        // of them.
+        const IdVec both =
+            Intersect(distinct(snap.Match(IdPattern{0, 0, 7}), &IdTriple::s),
+                      distinct(snap.Match(IdPattern{0, 0, 9}), &IdTriple::s));
         for (Id s : both) {
           if (!snap.MatchesAny(IdPattern{s, 0, 7}) ||
               !snap.MatchesAny(IdPattern{s, 0, 9})) {
@@ -684,13 +694,14 @@ TEST(EpochStressTest, PinnedQueriesAnswerFromOneGeneration) {
           }
         }
         // A chain step over the same handle stays self-consistent: every
-        // node that ends a knows edge and starts one has non-empty
-        // terminal lists on both sides.
-        const IdVec mids = Intersect(snap.objects_of_predicate(p_knows),
-                                     snap.subjects_of_predicate(p_knows));
+        // node that ends a knows edge and starts one matches bound reads
+        // on both sides.
+        const IdVec mids = Intersect(
+            distinct(snap.Match(IdPattern{0, p_knows, 0}), &IdTriple::o),
+            distinct(snap.Match(IdPattern{0, p_knows, 0}), &IdTriple::s));
         for (Id mid : mids) {
-          if (snap.subjects(p_knows, mid).empty() ||
-              snap.objects(mid, p_knows).empty()) {
+          if (!snap.MatchesAny(IdPattern{0, p_knows, mid}) ||
+              !snap.MatchesAny(IdPattern{mid, p_knows, 0})) {
             failures.fetch_add(1);
           }
         }

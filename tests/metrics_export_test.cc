@@ -17,6 +17,7 @@
 #include "query/bgp.h"
 #include "query/profile.h"
 #include "query/session.h"
+#include "shard/sharded_hexastore.h"
 #include "wal/durable_store.h"
 
 namespace hexastore {
@@ -101,6 +102,48 @@ TEST(MetricsExportTest, GatherStatsMatchesRegistry) {
   // Stats() and EpochCounters() are views over the same gather.
   EXPECT_EQ(store.Stats().staged_ops_total, snap.delta.staged_ops_total);
   EXPECT_EQ(store.EpochCounters().global_epoch, snap.epoch.global_epoch);
+}
+
+// The exports refresh the gauges themselves: with no Stats or
+// GatherStats call, every scrape reports the current size and staged
+// ops, of a lone store and of a 2-shard facade (whose registry is
+// shard 0's).
+TEST(MetricsExportTest, ExportsRefreshGaugesWithoutStats) {
+  auto expect_gauges = [](const obs::MetricsRegistry& registry,
+                          const DeltaHexastore& store) {
+    std::int64_t size_gauge = -1;
+    std::int64_t staged_gauge = -1;
+    ASSERT_TRUE(registry.GaugeValue("hexa_delta_size_triples", &size_gauge));
+    ASSERT_TRUE(registry.GaugeValue("hexa_delta_staged_ops", &staged_gauge));
+    EXPECT_EQ(static_cast<std::size_t>(size_gauge), store.size());
+    EXPECT_EQ(static_cast<std::size_t>(staged_gauge), store.StagedOps());
+  };
+  DeltaOptions options;
+  options.compact_threshold = 64;
+  options.l0_run_limit = 2;
+
+  DeltaHexastore store(options);
+  Churn(&store, 500);
+  ASSERT_GT(store.StagedOps(), 0u);
+  (void)store.MetricsJson();
+  ASSERT_NO_FATAL_FAILURE(expect_gauges(store.metrics_registry(), store));
+  Churn(&store, 700);
+  (void)store.MetricsText();
+  ASSERT_NO_FATAL_FAILURE(expect_gauges(store.metrics_registry(), store));
+
+  ShardedOptions sharded_options;
+  sharded_options.shards = 2;
+  sharded_options.delta = options;
+  ShardedHexastore sharded(sharded_options);
+  Churn(&sharded, 500);
+  ASSERT_GT(sharded.shard(0).StagedOps(), 0u);
+  (void)sharded.MetricsJson();
+  ASSERT_NO_FATAL_FAILURE(
+      expect_gauges(sharded.metrics_registry(), sharded.shard(0)));
+  Churn(&sharded, 700);
+  (void)sharded.MetricsText();
+  ASSERT_NO_FATAL_FAILURE(
+      expect_gauges(sharded.metrics_registry(), sharded.shard(0)));
 }
 
 TEST(MetricsExportTest, GraphFacadeMetrics) {

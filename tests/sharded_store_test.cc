@@ -1,12 +1,12 @@
 // Sharded-vs-single oracle: a ShardedHexastore at shard counts
 // {1, 2, 4, 7} must stay byte-identical to one DeltaHexastore over the
 // same ops — contents, Match results, ErasePattern counts, snapshot
-// views, merged accessor orders, and EstimateMatches where the facade
-// contract promises exactness (fully-bound patterns; any pattern after
-// Compact). Also pins the predicate-only ErasePattern fan-out count
-// (the facade must SUM per-shard counts, never double-count) including
-// the leveled pattern-tombstone-above-L1 interleavings, and the routing
-// invariant behind it all.
+// views, and EstimateMatches where the facade contract promises
+// exactness (fully-bound patterns; any pattern after Compact). Also pins
+// the predicate-only ErasePattern fan-out count (the facade must SUM
+// per-shard counts, never double-count) including the leveled
+// pattern-tombstone-above-L1 interleavings, and the routing invariant
+// behind it all.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -129,7 +129,7 @@ TEST_P(ShardedOracleTest, ChurnStaysByteIdentical) {
   EXPECT_EQ(sharded.Match(IdPattern{}), single.Match(IdPattern{}));
 }
 
-TEST_P(ShardedOracleTest, SnapshotAndAccessorViewsAgree) {
+TEST_P(ShardedOracleTest, SnapshotViewsAgree) {
   const std::size_t shards = GetParam();
   ShardedOptions opts;
   opts.shards = shards;
@@ -155,39 +155,8 @@ TEST_P(ShardedOracleTest, SnapshotAndAccessorViewsAgree) {
   EXPECT_EQ(snap.StampVector().size(), shards * 2);
   EXPECT_EQ(snap.size(), oracle.size());
 
-  // Snapshot pattern answers and both stores' merged accessor views:
-  // scatter results must reproduce the single store's sorted orders
-  // byte-for-byte (subject lists are disjoint unions; object/predicate
-  // lists are sorted-unique merges).
-  for (Id s = 1; s <= 16; ++s) {
-    EXPECT_EQ(snap.predicates_of_subject(s), oracle.predicates_of_subject(s));
-    EXPECT_EQ(snap.objects_of_subject(s), oracle.objects_of_subject(s));
-    EXPECT_EQ(sharded.predicates_of_subject(s),
-              single.predicates_of_subject(s));
-    EXPECT_EQ(sharded.objects_of_subject(s), single.objects_of_subject(s));
-    EXPECT_EQ(sharded.subjects_of_object(s), single.subjects_of_object(s));
-    EXPECT_EQ(snap.subjects_of_object(s), oracle.subjects_of_object(s));
-  }
-  for (Id p = 1; p <= 8; ++p) {
-    EXPECT_EQ(snap.subjects_of_predicate(p), oracle.subjects_of_predicate(p));
-    EXPECT_EQ(snap.objects_of_predicate(p), oracle.objects_of_predicate(p));
-    EXPECT_EQ(sharded.subjects_of_predicate(p),
-              single.subjects_of_predicate(p));
-    EXPECT_EQ(sharded.objects_of_predicate(p), single.objects_of_predicate(p));
-    EXPECT_EQ(sharded.predicates_of_object(p), single.predicates_of_object(p));
-  }
-  for (Id s = 1; s <= 16; ++s) {
-    for (Id p = 1; p <= 8; ++p) {
-      EXPECT_EQ(snap.objects(s, p).Materialize(),
-                oracle.objects(s, p).Materialize());
-      EXPECT_EQ(sharded.objects(s, p).Materialize(),
-                single.objects(s, p).Materialize());
-      EXPECT_EQ(snap.subjects(p, s).Materialize(),
-                oracle.subjects(p, s).Materialize());
-      EXPECT_EQ(sharded.subjects(p, s).Materialize(),
-                single.subjects(p, s).Materialize());
-    }
-  }
+  // Snapshot pattern answers, every shape (probe % 2, % 3 and % 5 pick
+  // the bound positions).
   for (int probe = 0; probe < 80; ++probe) {
     IdPattern q;
     if (probe % 2) q.s = 1 + rng.Uniform(16);
